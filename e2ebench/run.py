@@ -132,6 +132,15 @@ def measure(workload, seed, seconds, trace, root, gen_s, extra=()):
     return lines
 
 
+def keep_spans(workload, root):
+    """Moves the traced run's span dump out of the scratch root, which is
+    deleted at exit, to .bench_build/spans-<workload>.jsonl. The rename is
+    atomic, so concurrent runs leave one whole dump, never a mix."""
+    dest = os.path.join(BUILD, "spans-%s.jsonl" % workload)
+    os.replace(os.path.join(root, "spans.jsonl"), dest)
+    log("spans written to %s" % os.path.relpath(dest, ROOT))
+
+
 def update_golden(workload, root):
     """Replaces the workload's lines in golden.txt with this run's digests."""
     with open(os.path.join(root, "digests.txt")) as f:
@@ -156,8 +165,6 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=GOLDEN_SEED)
     ap.add_argument("--seconds", type=float, default=10)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    ap.add_argument("--keep", action="store_true",
-                    help="keep the scratch root (inputs, outputs, spans)")
     ap.add_argument("--corrupt", type=int, default=-1, metavar="SESSION",
                     help="test hook: damage one session's published output")
     ap.add_argument("--update-golden", action="store_true",
@@ -174,20 +181,18 @@ def main(argv=None):
         root = scratch_root()
         gen_s = generate(args.workload, args.seed, root)
         extra = ["--corrupt", str(args.corrupt)] if args.corrupt >= 0 else []
-        if args.keep:
-            extra.append("--keep")
         lines = measure(args.workload, args.seed, args.seconds, args.trace,
                         root, gen_s, extra)
+        if args.trace:
+            keep_spans(args.workload, root)
         if args.update_golden:
             update_golden(args.workload, root)
     except (BenchError, OSError) as e:
         log("error: %s" % e)
         return 1
     finally:
-        if root is not None and not args.keep:
+        if root is not None:
             shutil.rmtree(root, ignore_errors=True)
-        elif root is not None:
-            log("scratch root kept at %s" % root)
     print("\n".join(lines), flush=True)
     return 0
 

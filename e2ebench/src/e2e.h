@@ -111,7 +111,6 @@ struct RunOptions {
   std::string config_path;  ///< analyze-dtb's config (extended.domino).
   std::string golden_path;  ///< Golden digests; checked at their seed only.
   long corrupt_session = -1;  ///< Test hook: damage this session's output.
-  bool keep_outputs = false;  ///< Keep every session's published files.
 };
 
 struct Metric {

@@ -3,7 +3,7 @@
 //   domino_e2e gen    --workload W --seed N --root DIR
 //   domino_e2e run    --workload W --seed N --seconds S --trace 0|1
 //                     --root DIR [--config F] [--golden F] [--corrupt I]
-//                     [--keep] [--commit C] [--gen-s X]
+//                     [--commit C] [--gen-s X]
 //   domino_e2e mirror --root DIR --config F
 //
 // `gen` and `run` are separate processes so that peak_rss_mb is measured in
@@ -14,10 +14,6 @@
 #include <exception>
 #include <string>
 #include <vector>
-
-#if defined(__GLIBC__)  // Defined by the libc headers above.
-#include <malloc.h>
-#endif
 
 #include "e2e.h"
 
@@ -55,8 +51,8 @@ int Usage() {
   std::fputs(
       "usage: domino_e2e gen --workload W --seed N --root DIR\n"
       "       domino_e2e run --workload W --seed N --seconds S --trace 0|1 "
-      "--root DIR [--config F] [--golden F] [--corrupt I] [--keep] "
-      "[--commit C] [--gen-s X]\n"
+      "--root DIR [--config F] [--golden F] [--corrupt I] [--commit C] "
+      "[--gen-s X]\n"
       "       domino_e2e mirror --root DIR --config F\n",
       stderr);
   return 2;
@@ -71,15 +67,6 @@ bool KnownWorkload(const std::string& w) {
 
 int Run(const RunOptions& opts, const std::string& commit,
         const std::string& gen_s) {
-#if defined(__GLIBC__)
-  // glibc raises its mmap threshold each time a large block is freed, so
-  // over hundreds of sessions where big buffers come from drifts with the
-  // allocation history, and with it page-fault counts, timings and peak
-  // RSS. Pinning both thresholds at glibc's initial defaults keeps every
-  // session under the allocator state a fresh process starts with.
-  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
-  mallopt(M_TRIM_THRESHOLD, 128 * 1024);
-#endif
   e2e::RunResult res = e2e::RunWorkload(opts);
 #if defined(__OPTIMIZE__)
   const bool optimized = true;
@@ -156,8 +143,6 @@ int main(int argc, char** argv) {
       commit = value();
     } else if (a == "--gen-s") {
       gen_s = value();
-    } else if (a == "--keep") {
-      opts.keep_outputs = true;
     } else {
       return Usage();
     }

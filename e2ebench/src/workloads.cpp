@@ -32,8 +32,14 @@ using namespace domino;
 
 namespace {
 
-/// Set-up is repeated this many times per run; setup_s is the median.
-constexpr int kSetupReps = 51;
+/// Set-ups timed per session, in a burst before each timed unit and one
+/// after the last; setup_s is their median. One set-up takes tens of
+/// microseconds, and a shared host's speed changes in stretches of tens of
+/// milliseconds to seconds, so set-ups timed in one block would land on
+/// whichever stretch was current. Spread over the run, they see the same
+/// host as the sessions. Every set-up builds the whole ready state, and the
+/// sessions use the last one built.
+constexpr long kSetupBurst = 50;
 /// Floor on timed sessions per run, so p90 has ten samples beyond it.
 constexpr long kMinSessions = 100;
 /// serve-mixed: how often each input is submitted in one batch, and every
@@ -175,7 +181,8 @@ struct LayerCounts {
   double io_rows = 0, io_bytes = 0;
   double sanitize_rows = 0, repaired = 0, derive_calls = 0;
   double detect_windows = 0, detect_chains = 0;
-  double report_bytes = 0;  ///< Built by domino.report, written as built.
+  double report_bytes = 0;   ///< Built by domino.report.
+  double publish_bytes = 0;  ///< On disk after cli.publish.
   double live_sessions = 0, polls = 0, live_windows = 0,
          checkpoints = 0, checkpoint_bytes = 0, chainlog_bytes = 0,
          peak_retained = 0, evicted = 0, shed = 0;
@@ -291,6 +298,9 @@ long AnalyzeSession(const AnalyzeSetup& s, const std::string& dir,
     lc->detect_windows += static_cast<double>(result.windows.size());
     lc->detect_chains += static_cast<double>(result.AllChains().size());
     lc->report_bytes += static_cast<double>(summary.size() + json.size());
+    lc->publish_bytes +=
+        static_cast<double>(FileSize(out_dir + "/report.json") +
+                            FileSize(out_dir + "/summary.txt"));
   }
   return static_cast<long>(result.windows.size());
 }
@@ -315,7 +325,7 @@ struct Workload {
 
 struct Phase {
   long units = 0;
-  double wall_s = 0;  ///< Sum of unit wall times.
+  double wall_s = 0;  ///< Sum of unit wall times, set-ups excluded.
   std::vector<double> session_s;
 
   void Run(Workload& w, long u, Tracer& tr, LayerCounts* lc) {
@@ -330,18 +340,34 @@ struct Phase {
 /// so traced unit kTracedBase + u runs the same inputs as untraced unit u.
 constexpr long kTracedBase = 1'000'000;
 
+/// Times a burst of kSetupBurst set-ups per session of a unit, appending
+/// each set-up's time to `setup_s`. Traced set-up spans have session -1.
+void SetUpBurst(Workload& w, Tracer& tr, std::vector<double>* setup_s) {
+  tr.session = -1;
+  for (long r = 0; r < kSetupBurst * w.sessions_per_unit; ++r) {
+    const Clock::time_point t0 = Clock::now();
+    Scope span(tr, "setup", "setup");
+    w.setup(tr);
+    setup_s->push_back(SecondsSince(t0));
+  }
+}
+
 /// Runs whole cycles of units until `seconds` have passed and at least
-/// `min_units` ran. With `traced`, every unit runs twice, untraced and then
-/// traced, so both totals see the same host conditions: `plain` gets the
-/// untraced runs and the returned phase the traced ones.
+/// `min_units` ran, with a set-up burst before each unit and after the
+/// last. With `traced`, every unit runs twice, untraced and then traced, so
+/// both totals see the same host conditions: `plain` gets the untraced runs
+/// and the returned phase the traced ones.
 Phase RunUnits(Workload& w, Tracer& tr, LayerCounts* lc, double seconds,
-               long min_units, Phase* plain) {
+               long min_units, Phase* plain, std::vector<double>* setup_s) {
   Phase p;
+  const bool traced = plain != nullptr;
   const Clock::time_point t0 = Clock::now();
   for (long u = 0; u < min_units || u % w.cycle != 0 ||
                    SecondsSince(t0) < seconds;
        ++u) {
-    if (plain == nullptr) {
+    tr.enabled = traced;
+    SetUpBurst(w, tr, setup_s);
+    if (!traced) {
       p.Run(w, u, tr, lc);
       continue;
     }
@@ -350,6 +376,7 @@ Phase RunUnits(Workload& w, Tracer& tr, LayerCounts* lc, double seconds,
     tr.enabled = true;
     p.Run(w, kTracedBase + u, tr, lc);
   }
+  SetUpBurst(w, tr, setup_s);
   return p;
 }
 
@@ -379,9 +406,6 @@ RunResult RunWorkload(const RunOptions& opts) {
       std::max(1u, std::thread::hardware_concurrency()));
   const auto input_of = [&](long session) -> const Input& {
     return inputs[static_cast<std::size_t>(session) % inputs.size()];
-  };
-  const auto done_with = [&](const std::string& dir) {
-    if (!opts.keep_outputs) fs::remove_all(dir);
   };
   std::map<std::string, double> input_bytes;
   for (const Input& in : inputs) {
@@ -444,7 +468,7 @@ RunResult RunWorkload(const RunOptions& opts) {
       }
       check.Digest(u, in.key, "report.json", FileDigest(out + "/report.json"));
       check.Digest(u, in.key, "summary.txt", FileDigest(out + "/summary.txt"));
-      done_with(out);
+      fs::remove_all(out);
     };
   } else if (opts.workload == "live-csv") {
     w.setup = [&](Tracer&) {
@@ -480,7 +504,7 @@ RunResult RunWorkload(const RunOptions& opts) {
                    FileDigest(state + "/chains.jsonl"));
       check.Digest(u, in.key, "live_report.json",
                    FileDigest(state + "/live_report.json"));
-      done_with(state);
+      fs::remove_all(state);
     };
   } else if (opts.workload == "serve-mixed") {
     workers = std::min(2, nproc);
@@ -542,7 +566,7 @@ RunResult RunWorkload(const RunOptions& opts) {
         const std::string& key = input_of(i).key;
         check.Digest(id0 + i, key, "chains.jsonl",
                      FileDigest(state + "/chains.jsonl"));
-        check.Digest(id0 + i, chaos ? key + "+chaos" : key, "live_report.json",
+        check.Digest(id0 + i, key, "live_report.json",
                      FileDigest(state + "/live_report.json"));
         if (lc != nullptr) lc->AddLive(o.summary, state);
       }
@@ -563,37 +587,29 @@ RunResult RunWorkload(const RunOptions& opts) {
         lc->ok += static_cast<double>(report.completed);
         lc->busy_frac += latency_sum / (report.workers * *wall);
       }
-      done_with(batch);
+      fs::remove_all(batch);
     };
   } else {
     throw std::runtime_error("unknown workload " + opts.workload);
   }
 
-  // Set-up, repeated: the median is setup_s.
-  std::vector<double> setup_s;
-  tr.enabled = opts.trace;
-  for (int r = 0; r < kSetupReps; ++r) {
-    const Clock::time_point t0 = Clock::now();
-    Scope span(tr, "setup", "setup");
-    w.setup(tr);
-    setup_s.push_back(SecondsSince(t0));
-  }
-  fs::remove_all(out_root + "/setup");
-
   LayerCounts lc;
   Phase timed;
+  std::vector<double> setup_s;
   double overhead = 0;
   if (!opts.trace) {
     const long min_units =
         (kMinSessions + w.sessions_per_unit - 1) / w.sessions_per_unit;
-    timed = RunUnits(w, tr, nullptr, opts.seconds, min_units, nullptr);
+    timed = RunUnits(w, tr, nullptr, opts.seconds, min_units, nullptr,
+                     &setup_s);
   } else {
     Phase plain;
-    timed = RunUnits(w, tr, &lc, opts.seconds, 1, &plain);
+    timed = RunUnits(w, tr, &lc, opts.seconds, 1, &plain, &setup_s);
     overhead = timed.wall_s / plain.wall_s - 1;
     res.attempted += plain.units * w.sessions_per_unit;
     tr.Dump(opts.root + "/spans.jsonl");
   }
+  fs::remove_all(out_root + "/setup");
   res.attempted += timed.units * w.sessions_per_unit;
   res.failed = check.Finish(&res);
   check.WriteDigests(opts.root + "/digests.txt");
@@ -632,7 +648,9 @@ RunResult RunWorkload(const RunOptions& opts) {
     m["telemetry.derive.calls"] = {per(lc.derive_calls, sessions), "count"};
     const auto lint = setup_self.find("domino.lint");
     m["domino.lint.busy_ms"] = {
-        lint == setup_self.end() ? 0.0 : lint->second / kSetupReps, "ms"};
+        per(lint == setup_self.end() ? 0.0 : lint->second,
+            static_cast<double>(setup_s.size())),
+        "ms"};
     m["domino.detect.busy_ms"] = {per(self_ms("domino.detect"), sessions),
                                   "ms"};
     m["domino.detect.windows"] = {per(lc.detect_windows, sessions), "count"};
@@ -643,7 +661,7 @@ RunResult RunWorkload(const RunOptions& opts) {
                                   "ms"};
     m["domino.report.bytes"] = {per(lc.report_bytes, sessions), "bytes"};
     m["cli.publish.busy_ms"] = {per(self_ms("cli.publish"), sessions), "ms"};
-    m["cli.publish.bytes"] = {per(lc.report_bytes, sessions), "bytes"};
+    m["cli.publish.bytes"] = {per(lc.publish_bytes, sessions), "bytes"};
     // In the fleet the per-session latency stands in for LiveRunner time:
     // calls inside FleetSupervisor::Run are not traced from outside.
     const double live_ms = opts.workload == "live-csv"
@@ -693,7 +711,7 @@ RunResult RunWorkload(const RunOptions& opts) {
   c["session_samples"] = std::to_string(timed.session_s.size());
   c["units"] = std::to_string(timed.units);
   c["timed_wall_s"] = Num(timed.wall_s);
-  c["setup_reps"] = std::to_string(kSetupReps);
+  c["setup_reps"] = std::to_string(setup_s.size());
   if (opts.trace) c["trace_overhead_frac"] = Num(overhead);
   return res;
 }
