@@ -122,6 +122,14 @@ class Row {
   std::string message_;
 };
 
+/// Diagnostic for a line the tokenizer rejected (broken quoting, too wide).
+void AddMalformedLine(ReadStats& stats, std::size_t row,
+                      const InputLimits& limits) {
+  stats.Add(TelemetryErrorKind::kBadField, row,
+            "unterminated quote or more than " +
+                std::to_string(limits.max_fields) + " fields");
+}
+
 /// Reads a CSV stream row by row, calling `parse(Row&)` per data row; the
 /// parser returns false to drop the row. Defects never escape as
 /// exceptions; they land in `stats`. InputLimits are enforced here: lines
@@ -157,9 +165,7 @@ void ForEachRow(std::istream& is, const char* stream_name, ReadStats& stats,
                   "line exceeds " + std::to_string(limits.max_line_bytes) +
                       " bytes");
       } else {
-        stats.Add(TelemetryErrorKind::kBadField, row_number,
-                  "unterminated quote or more than " +
-                      std::to_string(limits.max_fields) + " fields");
+        AddMalformedLine(stats, row_number, limits);
       }
       continue;
     }
@@ -196,9 +202,10 @@ Direction DirFromString(std::string_view s) {
 }
 
 // --- Shared row formats ----------------------------------------------------
-// Each stream's schema lives in one Write*Rows/Parse*Rows pair; the public
-// row-vector and columnar entry points below are thin adapters over these
-// (a `sink` receives each good record).
+// Each stream's schema lives in one Write*Rows/MapRow pair. The public
+// row-vector, columnar and one-line entry points below are thin adapters
+// over these: ParseRows feeds each good record of a stream to a `sink`, and
+// ParseOneRow maps a single line.
 
 template <typename Range>
 void WriteDciRows(std::ostream& os, const Range& records) {
@@ -213,23 +220,17 @@ void WriteDciRows(std::ostream& os, const Range& records) {
   }
 }
 
-template <typename Sink>
-void ParseDciRows(std::istream& is, ReadStats& st, const InputLimits& limits,
-                  Sink sink) {
-  ForEachRow(is, "dci", st, limits, [&](Row& c) {
-    DciRecord r;
-    r.time = Time{c.Int(0)};
-    r.rnti = static_cast<std::uint32_t>(c.Int(1));
-    r.dir = DirFromString(c.Str(2));
-    r.prbs = static_cast<int>(c.Int(3));
-    r.mcs = static_cast<int>(c.Int(4));
-    r.tbs_bytes = static_cast<int>(c.Int(5));
-    r.is_retx = c.Int(6) != 0;
-    r.harq_process = static_cast<int>(c.Int(7));
-    r.attempt = static_cast<int>(c.Int(8));
-    if (c.ok()) sink(r);
-    return c.ok();
-  });
+bool MapRow(Row& c, DciRecord& r) {
+  r.time = Time{c.Int(0)};
+  r.rnti = static_cast<std::uint32_t>(c.Int(1));
+  r.dir = DirFromString(c.Str(2));
+  r.prbs = static_cast<int>(c.Int(3));
+  r.mcs = static_cast<int>(c.Int(4));
+  r.tbs_bytes = static_cast<int>(c.Int(5));
+  r.is_retx = c.Int(6) != 0;
+  r.harq_process = static_cast<int>(c.Int(7));
+  r.attempt = static_cast<int>(c.Int(8));
+  return c.ok();
 }
 
 template <typename Range>
@@ -247,23 +248,17 @@ void WritePacketRows(std::ostream& os, const Range& records) {
   }
 }
 
-template <typename Sink>
-void ParsePacketRows(std::istream& is, ReadStats& st,
-                     const InputLimits& limits, Sink sink) {
-  ForEachRow(is, "packets", st, limits, [&](Row& c) {
-    PacketRecord r;
-    r.id = static_cast<std::uint64_t>(c.Int(0));
-    r.dir = DirFromString(c.Str(1));
-    r.size_bytes = static_cast<int>(c.Int(2));
-    r.sent = Time{c.Int(3)};
-    std::int64_t recv = c.Int(4);
-    r.received = recv < 0 ? Time::max() : Time{recv};
-    r.is_rtcp = c.Int(5) != 0;
-    r.is_audio = c.Int(6) != 0;
-    r.frame_id = static_cast<std::uint64_t>(c.Int(7));
-    if (c.ok()) sink(r);
-    return c.ok();
-  });
+bool MapRow(Row& c, PacketRecord& r) {
+  r.id = static_cast<std::uint64_t>(c.Int(0));
+  r.dir = DirFromString(c.Str(1));
+  r.size_bytes = static_cast<int>(c.Int(2));
+  r.sent = Time{c.Int(3)};
+  std::int64_t recv = c.Int(4);
+  r.received = recv < 0 ? Time::max() : Time{recv};
+  r.is_rtcp = c.Int(5) != 0;
+  r.is_audio = c.Int(6) != 0;
+  r.frame_id = static_cast<std::uint64_t>(c.Int(7));
+  return c.ok();
 }
 
 template <typename Range>
@@ -282,33 +277,27 @@ void WriteStatsRows(std::ostream& os, const Range& records) {
   }
 }
 
-template <typename Sink>
-void ParseStatsRows(std::istream& is, ReadStats& st,
-                    const InputLimits& limits, Sink sink) {
-  ForEachRow(is, "stats", st, limits, [&](Row& c) {
-    WebRtcStatsRecord r;
-    r.time = Time{c.Int(0)};
-    r.inbound_fps = c.Dbl(1);
-    r.outbound_fps = c.Dbl(2);
-    r.outbound_resolution = static_cast<int>(c.Int(3));
-    r.jitter_buffer_ms = c.Dbl(4);
-    r.target_bitrate_bps = c.Dbl(5);
-    r.pushback_bitrate_bps = c.Dbl(6);
-    r.outstanding_bytes = c.Dbl(7);
-    r.cwnd_bytes = c.Dbl(8);
-    if (c.Str(9) == "overuse") {
-      r.gcc_state = NetworkState::kOveruse;
-    } else if (c.Str(9) == "underuse") {
-      r.gcc_state = NetworkState::kUnderuse;
-    } else {
-      r.gcc_state = NetworkState::kNormal;
-    }
-    r.delay_slope = c.Dbl(10);
-    r.concealed_ratio = c.Dbl(11);
-    r.frozen = c.Int(12) != 0;
-    if (c.ok()) sink(r);
-    return c.ok();
-  });
+bool MapRow(Row& c, WebRtcStatsRecord& r) {
+  r.time = Time{c.Int(0)};
+  r.inbound_fps = c.Dbl(1);
+  r.outbound_fps = c.Dbl(2);
+  r.outbound_resolution = static_cast<int>(c.Int(3));
+  r.jitter_buffer_ms = c.Dbl(4);
+  r.target_bitrate_bps = c.Dbl(5);
+  r.pushback_bitrate_bps = c.Dbl(6);
+  r.outstanding_bytes = c.Dbl(7);
+  r.cwnd_bytes = c.Dbl(8);
+  if (c.Str(9) == "overuse") {
+    r.gcc_state = NetworkState::kOveruse;
+  } else if (c.Str(9) == "underuse") {
+    r.gcc_state = NetworkState::kUnderuse;
+  } else {
+    r.gcc_state = NetworkState::kNormal;
+  }
+  r.delay_slope = c.Dbl(10);
+  r.concealed_ratio = c.Dbl(11);
+  r.frozen = c.Int(12) != 0;
+  return c.ok();
 }
 
 template <typename Range>
@@ -324,26 +313,55 @@ void WriteGnbLogRows(std::ostream& os, const Range& records) {
   }
 }
 
-template <typename Sink>
-void ParseGnbLogRows(std::istream& is, ReadStats& st,
-                     const InputLimits& limits, Sink sink) {
-  ForEachRow(is, "gnb_log", st, limits, [&](Row& c) {
-    GnbLogRecord r;
-    r.time = Time{c.Int(0)};
-    r.rnti = static_cast<std::uint32_t>(c.Int(1));
-    r.dir = DirFromString(c.Str(2));
-    r.rlc_buffer_bytes = static_cast<int>(c.Int(3));
-    r.rlc_retx = c.Int(4) != 0;
-    if (c.Str(5) == "connected") {
-      r.rrc_state = RrcState::kConnected;
-    } else if (c.Str(5) == "idle") {
-      r.rrc_state = RrcState::kIdle;
-    } else {
-      r.rrc_state = RrcState::kTransitioning;
-    }
-    if (c.ok()) sink(r);
-    return c.ok();
+bool MapRow(Row& c, GnbLogRecord& r) {
+  r.time = Time{c.Int(0)};
+  r.rnti = static_cast<std::uint32_t>(c.Int(1));
+  r.dir = DirFromString(c.Str(2));
+  r.rlc_buffer_bytes = static_cast<int>(c.Int(3));
+  r.rlc_retx = c.Int(4) != 0;
+  if (c.Str(5) == "connected") {
+    r.rrc_state = RrcState::kConnected;
+  } else if (c.Str(5) == "idle") {
+    r.rrc_state = RrcState::kIdle;
+  } else {
+    r.rrc_state = RrcState::kTransitioning;
+  }
+  return c.ok();
+}
+
+/// Batch reader over one stream: each good row goes to `sink`.
+template <typename Rec, typename Sink>
+void ParseRows(std::istream& is, const char* stream_name, ReadStats& st,
+               const InputLimits& limits, Sink sink) {
+  ForEachRow(is, stream_name, st, limits, [&](Row& c) {
+    Rec r;
+    if (!MapRow(c, r)) return false;
+    sink(r);
+    return true;
   });
+}
+
+/// ParseCsvRow for any stream: the batch reader's per-row steps (CR strip,
+/// blank skip, tokenize, map) on one line, without the stream.
+template <typename Rec>
+LineParse ParseOneRow(std::string& line, std::size_t row,
+                      const InputLimits& limits,
+                      std::vector<std::string_view>& cells, ReadStats* stats,
+                      Rec& out) {
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  if (line.empty()) return LineParse::kBlank;
+  if (ParseCsvLineViews(line, cells, limits.max_fields)) {
+    Row c(cells, row);
+    if (MapRow(c, out)) return LineParse::kRecord;
+    if (stats != nullptr) c.Report(*stats);
+  } else if (stats != nullptr) {
+    AddMalformedLine(*stats, row, limits);
+  }
+  if (stats != nullptr) {
+    ++stats->rows_total;
+    ++stats->rows_dropped;
+  }
+  return LineParse::kDropped;
 }
 
 ReadStats& StatsOrLocal(ReadStats* stats, ReadStats& local) {
@@ -369,17 +387,19 @@ std::vector<DciRecord> ReadDciCsv(std::istream& is, ReadStats* stats,
                                   const InputLimits& limits) {
   ReadStats local;
   std::vector<DciRecord> out;
-  ParseDciRows(is, StatsOrLocal(stats, local), limits,
-               [&](const DciRecord& r) { out.push_back(r); });
+  ParseRows<DciRecord>(is, "dci", StatsOrLocal(stats, local), limits,
+                       [&](const DciRecord& r) { out.push_back(r); });
   return out;
 }
 
 void ReadDciCsvInto(std::istream& is, DciColumns& out, ReadStats* stats,
                     const InputLimits& limits, std::size_t reserve_hint) {
   ReadStats local;
-  if (reserve_hint > 0) out.reserve(out.size() + CapHint(reserve_hint, limits));
-  ParseDciRows(is, StatsOrLocal(stats, local), limits,
-               [&](const DciRecord& r) { out.Append(r); });
+  if (reserve_hint > 0) {
+    out.reserve(out.size() + CapHint(reserve_hint, limits));
+  }
+  ParseRows<DciRecord>(is, "dci", StatsOrLocal(stats, local), limits,
+                       [&](const DciRecord& r) { out.Append(r); });
 }
 
 void WritePacketCsv(std::ostream& os,
@@ -394,17 +414,19 @@ std::vector<PacketRecord> ReadPacketCsv(std::istream& is, ReadStats* stats,
                                         const InputLimits& limits) {
   ReadStats local;
   std::vector<PacketRecord> out;
-  ParsePacketRows(is, StatsOrLocal(stats, local), limits,
-                  [&](const PacketRecord& r) { out.push_back(r); });
+  ParseRows<PacketRecord>(is, "packets", StatsOrLocal(stats, local), limits,
+                          [&](const PacketRecord& r) { out.push_back(r); });
   return out;
 }
 
 void ReadPacketCsvInto(std::istream& is, PacketColumns& out, ReadStats* stats,
                        const InputLimits& limits, std::size_t reserve_hint) {
   ReadStats local;
-  if (reserve_hint > 0) out.reserve(out.size() + CapHint(reserve_hint, limits));
-  ParsePacketRows(is, StatsOrLocal(stats, local), limits,
-                  [&](const PacketRecord& r) { out.Append(r); });
+  if (reserve_hint > 0) {
+    out.reserve(out.size() + CapHint(reserve_hint, limits));
+  }
+  ParseRows<PacketRecord>(is, "packets", StatsOrLocal(stats, local), limits,
+                          [&](const PacketRecord& r) { out.Append(r); });
 }
 
 void WriteStatsCsv(std::ostream& os,
@@ -420,17 +442,21 @@ std::vector<WebRtcStatsRecord> ReadStatsCsv(std::istream& is,
                                             const InputLimits& limits) {
   ReadStats local;
   std::vector<WebRtcStatsRecord> out;
-  ParseStatsRows(is, StatsOrLocal(stats, local), limits,
-                 [&](const WebRtcStatsRecord& r) { out.push_back(r); });
+  ParseRows<WebRtcStatsRecord>(
+      is, "stats", StatsOrLocal(stats, local), limits,
+      [&](const WebRtcStatsRecord& r) { out.push_back(r); });
   return out;
 }
 
 void ReadStatsCsvInto(std::istream& is, StatsColumns& out, ReadStats* stats,
                       const InputLimits& limits, std::size_t reserve_hint) {
   ReadStats local;
-  if (reserve_hint > 0) out.reserve(out.size() + CapHint(reserve_hint, limits));
-  ParseStatsRows(is, StatsOrLocal(stats, local), limits,
-                 [&](const WebRtcStatsRecord& r) { out.Append(r); });
+  if (reserve_hint > 0) {
+    out.reserve(out.size() + CapHint(reserve_hint, limits));
+  }
+  ParseRows<WebRtcStatsRecord>(
+      is, "stats", StatsOrLocal(stats, local), limits,
+      [&](const WebRtcStatsRecord& r) { out.Append(r); });
 }
 
 void WriteGnbLogCsv(std::ostream& os,
@@ -445,17 +471,44 @@ std::vector<GnbLogRecord> ReadGnbLogCsv(std::istream& is, ReadStats* stats,
                                         const InputLimits& limits) {
   ReadStats local;
   std::vector<GnbLogRecord> out;
-  ParseGnbLogRows(is, StatsOrLocal(stats, local), limits,
-                  [&](const GnbLogRecord& r) { out.push_back(r); });
+  ParseRows<GnbLogRecord>(is, "gnb_log", StatsOrLocal(stats, local), limits,
+                          [&](const GnbLogRecord& r) { out.push_back(r); });
   return out;
 }
 
 void ReadGnbLogCsvInto(std::istream& is, GnbLogColumns& out, ReadStats* stats,
                        const InputLimits& limits, std::size_t reserve_hint) {
   ReadStats local;
-  if (reserve_hint > 0) out.reserve(out.size() + CapHint(reserve_hint, limits));
-  ParseGnbLogRows(is, StatsOrLocal(stats, local), limits,
-                  [&](const GnbLogRecord& r) { out.Append(r); });
+  if (reserve_hint > 0) {
+    out.reserve(out.size() + CapHint(reserve_hint, limits));
+  }
+  ParseRows<GnbLogRecord>(is, "gnb_log", StatsOrLocal(stats, local), limits,
+                          [&](const GnbLogRecord& r) { out.Append(r); });
+}
+
+LineParse ParseCsvRow(std::string& line, std::size_t row,
+                      const InputLimits& limits,
+                      std::vector<std::string_view>& cells, ReadStats* stats,
+                      DciRecord& out) {
+  return ParseOneRow(line, row, limits, cells, stats, out);
+}
+LineParse ParseCsvRow(std::string& line, std::size_t row,
+                      const InputLimits& limits,
+                      std::vector<std::string_view>& cells, ReadStats* stats,
+                      GnbLogRecord& out) {
+  return ParseOneRow(line, row, limits, cells, stats, out);
+}
+LineParse ParseCsvRow(std::string& line, std::size_t row,
+                      const InputLimits& limits,
+                      std::vector<std::string_view>& cells, ReadStats* stats,
+                      PacketRecord& out) {
+  return ParseOneRow(line, row, limits, cells, stats, out);
+}
+LineParse ParseCsvRow(std::string& line, std::size_t row,
+                      const InputLimits& limits,
+                      std::vector<std::string_view>& cells, ReadStats* stats,
+                      WebRtcStatsRecord& out) {
+  return ParseOneRow(line, row, limits, cells, stats, out);
 }
 
 bool DatasetLoadReport::ok() const {

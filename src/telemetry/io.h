@@ -14,8 +14,10 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/parse.h"
@@ -119,6 +121,41 @@ void ReadGnbLogCsvInto(std::istream& is, GnbLogColumns& out,
                        ReadStats* stats = nullptr,
                        const InputLimits& limits = {},
                        std::size_t reserve_hint = 0);
+
+/// Outcome of parsing one data line (ParseCsvRow).
+enum class LineParse : std::uint8_t {
+  kBlank,    ///< Empty line: skipped, nothing counted.
+  kRecord,   ///< Good row; the record was written to `out`.
+  kDropped,  ///< Malformed row; counted and diagnosed in `stats`.
+};
+
+/// One-line entry point for incremental readers (the tail reader): parses
+/// one data line of a stream's CSV with the same field mapping, limits and
+/// diagnostics as the batch readers above, with no stream and no
+/// allocation on good rows. `line` holds the line without its '\n'; one
+/// trailing '\r' is stripped and quoted cells are unescaped in place.
+/// `cells` is caller-owned tokenizer scratch, reused across calls. A
+/// kDropped row adds one to stats->rows_total and stats->rows_dropped and
+/// records its diagnostic at `row` (the 1-based file row); a kRecord row
+/// leaves `stats` alone, so the caller decides whether it is consumed.
+/// `stats` may be null. The per-stream record budget (max_records) does
+/// not apply to a single line.
+LineParse ParseCsvRow(std::string& line, std::size_t row,
+                      const InputLimits& limits,
+                      std::vector<std::string_view>& cells, ReadStats* stats,
+                      DciRecord& out);
+LineParse ParseCsvRow(std::string& line, std::size_t row,
+                      const InputLimits& limits,
+                      std::vector<std::string_view>& cells, ReadStats* stats,
+                      GnbLogRecord& out);
+LineParse ParseCsvRow(std::string& line, std::size_t row,
+                      const InputLimits& limits,
+                      std::vector<std::string_view>& cells, ReadStats* stats,
+                      PacketRecord& out);
+LineParse ParseCsvRow(std::string& line, std::size_t row,
+                      const InputLimits& limits,
+                      std::vector<std::string_view>& cells, ReadStats* stats,
+                      WebRtcStatsRecord& out);
 
 /// Parses meta.csv (cell name, privacy flag, session range, RNTI timeline)
 /// into `ds`. Returns true when the session row was parseable; diagnostics

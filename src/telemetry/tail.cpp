@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -16,17 +17,26 @@ namespace {
 constexpr long kMaxBackoffShift = 6;
 constexpr long kMaxBackoffPolls = 64;
 
-/// Parses one data line with the stream's tolerant batch reader by
-/// prepending a dummy header (the readers skip row 1 unvalidated). Returns
-/// zero or one record; diagnostics (with row number 2) land in `row_stats`.
-template <typename Rec>
-std::vector<Rec> ParseLine(const std::string& line,
-                           std::vector<Rec> (*reader)(std::istream&,
-                                                      ReadStats*,
-                                                      const InputLimits&),
-                           ReadStats* row_stats, const InputLimits& limits) {
-  std::istringstream is("h\n" + line + "\n");
-  return reader(is, row_stats, limits);
+Time RecordTime(const DciRecord& r) { return r.time; }
+Time RecordTime(const GnbLogRecord& r) { return r.time; }
+Time RecordTime(const PacketRecord& r) { return r.sent; }
+Time RecordTime(const WebRtcStatsRecord& r) { return r.time; }
+
+/// Calls fn(columns, record) with stream `id`'s columnar storage in `ds`
+/// and a scratch record of its type, so one generic loop serves all five.
+template <typename Fn>
+void VisitStream(StreamId id, SessionDataset& ds, Fn&& fn) {
+  switch (id) {
+    case StreamId::kDci: fn(ds.dci, DciRecord{}); break;
+    case StreamId::kGnbLog: fn(ds.gnb_log, GnbLogRecord{}); break;
+    case StreamId::kPackets: fn(ds.packets, PacketRecord{}); break;
+    case StreamId::kStatsUe:
+      fn(ds.stats[kUeClient], WebRtcStatsRecord{});
+      break;
+    case StreamId::kStatsRemote:
+      fn(ds.stats[kRemoteClient], WebRtcStatsRecord{});
+      break;
+  }
 }
 
 }  // namespace
@@ -99,11 +109,12 @@ TailProgress TailingDatasetReader::Poll(StreamId id, SessionDataset& ds,
 
   f.seekg(static_cast<std::streamoff>(st.offset));
 
-  // Per-line consumption loop. Shared across the five record types via a
-  // small lambda that parses + accepts one trimmed line and reports the
-  // record time (or no record).
-  auto consume = [&](auto reader, auto time_of, auto sink) {
-    std::string line;
+  // Per-line consumption loop: each complete line is parsed in place by
+  // io.h's one-line entry point, which shares the batch readers' field
+  // mapping and diagnostics.
+  std::string line;
+  std::vector<std::string_view> cells;
+  VisitStream(id, ds, [&](auto& cols, auto rec) {
     while (true) {
       if (st.offset == static_cast<std::size_t>(size)) {
         p.eof = true;
@@ -130,8 +141,8 @@ TailProgress TailingDatasetReader::Poll(StreamId id, SessionDataset& ds,
         p.progressed = true;
         continue;
       }
+      const std::size_t this_row = st.abs_row + 1;
       if (lr.truncated) {
-        const std::size_t this_row = st.abs_row + 1;
         st.offset += consumed;
         st.abs_row = this_row;
         p.progressed = true;
@@ -143,24 +154,16 @@ TailProgress TailingDatasetReader::Poll(StreamId id, SessionDataset& ds,
                          " bytes");
         continue;
       }
-      ReadStats row_stats;
-      auto recs = reader(line, &row_stats);
-      const std::size_t this_row = st.abs_row + 1;
-      if (recs.empty()) {
-        // Blank or malformed: consume it, fold diagnostics in with the
-        // absolute row number.
+      if (ParseCsvRow(line, this_row, lim.input, cells, &st.stats, rec) !=
+          LineParse::kRecord) {
+        // Blank or malformed (already counted and diagnosed with its
+        // absolute row number): consume it.
         st.offset += consumed;
         st.abs_row = this_row;
         p.progressed = true;
-        st.stats.rows_total += row_stats.rows_total;
-        st.stats.rows_dropped += row_stats.rows_dropped;
-        for (auto& e : row_stats.errors) {
-          st.stats.Add(e.kind, this_row, std::move(e.message));
-        }
         continue;
       }
-      const auto& rec = recs.front();
-      const Time t = time_of(rec);
+      const Time t = RecordTime(rec);
       if (t >= lim.limit + lim.reorder_guard &&
           t <= lim.limit + lim.max_jump) {
         // Stop rule: this row belongs to a future poll window. Hold it
@@ -172,66 +175,19 @@ TailProgress TailingDatasetReader::Poll(StreamId id, SessionDataset& ds,
       st.abs_row = this_row;
       p.progressed = true;
       ++st.stats.rows_total;
+      ++st.stats.rows_kept;
       if (t < lim.cut) {
         // Behind the retention horizon (only possible on a resume
         // re-scan): already analysed, drop silently but keep counts exact.
-        ++st.stats.rows_kept;
         continue;
       }
-      ++st.stats.rows_kept;
       ++p.rows_ingested;
       if (t <= lim.limit + lim.max_jump) {
         st.watermark = std::max(st.watermark, t);
       }
-      sink(rec);
+      cols.Append(rec);
     }
-  };
-
-  switch (id) {
-    case StreamId::kDci:
-      consume([&](const std::string& l, ReadStats* s) {
-                return ParseLine<DciRecord>(l, &ReadDciCsv, s, lim.input);
-              },
-              [](const DciRecord& r) { return r.time; },
-              [&](const DciRecord& r) { ds.dci.push_back(r); });
-      break;
-    case StreamId::kGnbLog:
-      consume([&](const std::string& l, ReadStats* s) {
-                return ParseLine<GnbLogRecord>(l, &ReadGnbLogCsv, s,
-                                               lim.input);
-              },
-              [](const GnbLogRecord& r) { return r.time; },
-              [&](const GnbLogRecord& r) { ds.gnb_log.push_back(r); });
-      break;
-    case StreamId::kPackets:
-      consume([&](const std::string& l, ReadStats* s) {
-                return ParseLine<PacketRecord>(l, &ReadPacketCsv, s,
-                                               lim.input);
-              },
-              [](const PacketRecord& r) { return r.sent; },
-              [&](const PacketRecord& r) { ds.packets.push_back(r); });
-      break;
-    case StreamId::kStatsUe:
-      consume([&](const std::string& l, ReadStats* s) {
-                return ParseLine<WebRtcStatsRecord>(l, &ReadStatsCsv, s,
-                                                    lim.input);
-              },
-              [](const WebRtcStatsRecord& r) { return r.time; },
-              [&](const WebRtcStatsRecord& r) {
-                ds.stats[kUeClient].push_back(r);
-              });
-      break;
-    case StreamId::kStatsRemote:
-      consume([&](const std::string& l, ReadStats* s) {
-                return ParseLine<WebRtcStatsRecord>(l, &ReadStatsCsv, s,
-                                                    lim.input);
-              },
-              [](const WebRtcStatsRecord& r) { return r.time; },
-              [&](const WebRtcStatsRecord& r) {
-                ds.stats[kRemoteClient].push_back(r);
-              });
-      break;
-  }
+  });
   return p;
 }
 
@@ -269,8 +225,9 @@ void TailingDatasetReader::ReplayTo(StreamId id, SessionDataset& ds,
 
     std::size_t pos = 0;
     bool header = false;
-    auto replay = [&](auto reader, auto time_of, auto sink) {
-      std::string line;
+    std::string line;
+    std::vector<std::string_view> cells;
+    VisitStream(id, ds, [&](auto& cols, auto rec) {
       while (pos < cur.offset) {
         const LineRead lr =
             BoundedGetline(f, line, limits.max_line_bytes);
@@ -288,58 +245,15 @@ void TailingDatasetReader::ReplayTo(StreamId id, SessionDataset& ds,
         // Over-long lines were dropped by the killed process too: skip the
         // parse but keep consuming bytes.
         if (lr.truncated) continue;
-        auto recs = reader(line, nullptr);
-        if (recs.empty()) continue;  // Malformed; already counted.
-        const auto& rec = recs.front();
-        if (time_of(rec) < cut) continue;  // Evicted before the crash.
-        sink(rec);
+        // Blank or malformed lines were already counted.
+        if (ParseCsvRow(line, 0, limits, cells, nullptr, rec) !=
+            LineParse::kRecord) {
+          continue;
+        }
+        if (RecordTime(rec) < cut) continue;  // Evicted before the crash.
+        cols.Append(rec);
       }
-    };
-    switch (id) {
-      case StreamId::kDci:
-        replay([&](const std::string& l, ReadStats* s) {
-                 return ParseLine<DciRecord>(l, &ReadDciCsv, s, limits);
-               },
-               [](const DciRecord& r) { return r.time; },
-               [&](const DciRecord& r) { ds.dci.push_back(r); });
-        break;
-      case StreamId::kGnbLog:
-        replay([&](const std::string& l, ReadStats* s) {
-                 return ParseLine<GnbLogRecord>(l, &ReadGnbLogCsv, s,
-                                                limits);
-               },
-               [](const GnbLogRecord& r) { return r.time; },
-               [&](const GnbLogRecord& r) { ds.gnb_log.push_back(r); });
-        break;
-      case StreamId::kPackets:
-        replay([&](const std::string& l, ReadStats* s) {
-                 return ParseLine<PacketRecord>(l, &ReadPacketCsv, s,
-                                                limits);
-               },
-               [](const PacketRecord& r) { return r.sent; },
-               [&](const PacketRecord& r) { ds.packets.push_back(r); });
-        break;
-      case StreamId::kStatsUe:
-        replay([&](const std::string& l, ReadStats* s) {
-                 return ParseLine<WebRtcStatsRecord>(l, &ReadStatsCsv, s,
-                                                     limits);
-               },
-               [](const WebRtcStatsRecord& r) { return r.time; },
-               [&](const WebRtcStatsRecord& r) {
-                 ds.stats[kUeClient].push_back(r);
-               });
-        break;
-      case StreamId::kStatsRemote:
-        replay([&](const std::string& l, ReadStats* s) {
-                 return ParseLine<WebRtcStatsRecord>(l, &ReadStatsCsv, s,
-                                                     limits);
-               },
-               [](const WebRtcStatsRecord& r) { return r.time; },
-               [&](const WebRtcStatsRecord& r) {
-                 ds.stats[kRemoteClient].push_back(r);
-               });
-        break;
-    }
+    });
   }
   st.offset = cur.offset;
   st.abs_row = cur.abs_row;
