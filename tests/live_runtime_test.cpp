@@ -26,18 +26,17 @@
 #include "sim/live_feed.h"
 #include "telemetry/io.h"
 #include "telemetry/sanitize.h"
+#include "test_scratch.h"
 
 namespace domino {
 namespace {
 
 namespace fs = std::filesystem;
 
-/// Fresh scratch directory per test.
+/// Fresh scratch directory per test, under this process's own root
+/// (test_scratch.h), so parallel test processes never share one.
 std::string TempDir(const std::string& name) {
-  fs::path dir = fs::path(::testing::TempDir()) / ("live_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
+  return testing_scratch::FreshDir("live_" + name);
 }
 
 std::string Slurp(const std::string& path) {
@@ -62,11 +61,9 @@ const telemetry::SessionDataset& SharedSession() {
 
 /// Dataset dir holding SharedSession(), written once.
 const std::string& SharedSessionDir() {
-  static const std::string dir = [] {
-    std::string d = TempDir("shared_ds");
-    telemetry::SaveDataset(SharedSession(), d);
-    return d;
-  }();
+  static const std::string dir = testing_scratch::PublishFixture(
+      "live_shared_ds",
+      [](const std::string& d) { telemetry::SaveDataset(SharedSession(), d); });
   return dir;
 }
 

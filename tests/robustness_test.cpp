@@ -37,6 +37,7 @@
 #include "telemetry/fault_inject.h"
 #include "telemetry/io.h"
 #include "telemetry/sanitize.h"
+#include "test_scratch.h"
 
 namespace domino {
 namespace {
@@ -474,11 +475,10 @@ TEST(FaultPipelineTest, CleanTraceReportsAreByteIdenticalWithHealth) {
 
 namespace fs = std::filesystem;
 
+/// Fresh scratch directory under this process's own root (test_scratch.h),
+/// so parallel test processes never share or remove each other's dirs.
 std::string FleetTempDir(const std::string& name) {
-  fs::path dir = fs::path(::testing::TempDir()) / ("fleet_" + name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir.string();
+  return testing_scratch::FreshDir("fleet_" + name);
 }
 
 std::string FleetSlurp(const std::string& path) {
@@ -496,9 +496,10 @@ const std::string& FleetDatasetDir() {
     cfg.profile = sim::Amarisoft();
     cfg.duration = Seconds(10);
     cfg.seed = 13;
-    std::string d = FleetTempDir("shared_ds");
-    telemetry::SaveDataset(sim::CallSession(cfg).Run(), d);
-    return d;
+    const telemetry::SessionDataset ds = sim::CallSession(cfg).Run();
+    return testing_scratch::PublishFixture(
+        "fleet_shared_ds",
+        [&](const std::string& d) { telemetry::SaveDataset(ds, d); });
   }();
   return dir;
 }

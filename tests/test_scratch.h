@@ -67,7 +67,8 @@ inline std::string FreshDir(const std::string& name) {
 /// Builds a fixture directory once: `fill` writes it under a staging name,
 /// which is then renamed to `name` under this process's root.
 inline std::string PublishFixture(
-    const std::string& name, const std::function<void(const std::string&)>& fill) {
+    const std::string& name,
+    const std::function<void(const std::string&)>& fill) {
   const fs::path final_dir = ProcessRoot() / name;
   const std::string staging = FreshDir(name + ".staging");
   fill(staging);
