@@ -104,6 +104,15 @@ class Column {
     Assign(std::move(out));
   }
 
+  /// Replaces the contents with src[idx[0]], src[idx[1]], ..., reusing
+  /// this column's owned capacity.
+  void GatherFrom(const Column& src, const std::vector<std::uint32_t>& idx) {
+    ReleaseBorrow();
+    own_.resize(idx.size());
+    const T* s = src.data();
+    for (std::size_t k = 0; k < idx.size(); ++k) own_[k] = s[idx[k]];
+  }
+
   friend bool operator==(const Column& a, const Column& b) {
     return std::equal(a.data(), a.data() + a.size(), b.data(),
                       b.data() + b.size());

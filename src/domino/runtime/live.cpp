@@ -109,6 +109,12 @@ LiveRunner::LiveRunner(std::string dataset_dir, std::string state_dir,
   const Duration min_horizon =
       opts_.detector.window + opts_.sanitize.reorder_window + opts_.chunk;
   if (opts_.horizon < min_horizon) opts_.horizon = min_horizon;
+  // Each poll sanitizes only a bounded span (AdvanceAnalysis); a clock-skew
+  // correction estimated over that span would differ from one over the
+  // whole retained data.
+  if (opts_.sanitize.correct_skew) {
+    throw std::runtime_error("live: sanitize.correct_skew is not supported");
+  }
 
   // Everything that can change the byte content of chains.jsonl or
   // live_report.json goes into the fingerprint; a resume under a different
@@ -437,7 +443,7 @@ bool LiveRunner::PollOnce() {
 
   long windows_before = streaming_.windows_processed();
   if (advance_to > analyzed_to_ || final_poll) {
-    AdvanceAnalysis(advance_to, final_poll);
+    AdvanceAnalysis(advance_to);
     analyzed_to_ = std::max(analyzed_to_, advance_to);
   }
   long new_windows = streaming_.windows_processed() - windows_before;
@@ -484,22 +490,28 @@ bool LiveRunner::PollOnce() {
   return true;
 }
 
-void LiveRunner::AdvanceAnalysis(Time advance_to, bool final_poll) {
+void LiveRunner::AdvanceAnalysis(Time advance_to) {
   if (advance_to <= cut_) return;
-  // Rolling re-derivation: sanitize a copy of the retained raw records
-  // with the session end pinned to the analysis frontier, so a stalled
-  // stream's missing tail shows up as a coverage gap (-> reduced chain
-  // confidence) rather than as silence.
-  telemetry::SessionDataset copy = ds_;
-  copy.end = advance_to;
+  ApplyBackpressure(advance_to);
+  // Bounded analysis span: sanitize and derive only the retained rows at or
+  // after lo, one gap threshold before the next window on the 1 s grid.
+  // Every window from next_window_begin() on gets the same result as from
+  // the whole retained dataset (retention.h; DESIGN.md §9), so a poll costs
+  // what is new, not what is retained. The session end is pinned to the
+  // analysis frontier, so a stalled stream's missing tail shows up as a
+  // coverage gap (-> reduced chain confidence) rather than as silence.
+  const Time lo = std::max(
+      cut_, telemetry::QuantizeRetentionCut(
+                anchor_, streaming_.next_window_begin() -
+                             opts_.sanitize.gap_threshold));
+  telemetry::GatherAnalysisSpan(ds_, lo, span_);
+  span_.end = advance_to;
   telemetry::SanitizeReport health =
-      telemetry::SanitizeDataset(copy, opts_.sanitize);
-  telemetry::DerivedTrace trace = telemetry::BuildDerivedTrace(copy);
+      telemetry::SanitizeDataset(span_, opts_.sanitize);
+  telemetry::DerivedTrace trace = telemetry::BuildDerivedTrace(span_);
   trace.quality = health.quality();
 
-  ApplyBackpressure(advance_to);
   streaming_.Advance(trace, advance_to);
-  (void)final_poll;
 
   // S1 guard: the live loop rebuilds its trace once per poll, so exactly
   // one incremental-cursor reset per Advance is expected. More means a

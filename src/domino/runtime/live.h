@@ -194,7 +194,7 @@ class LiveRunner {
   /// One poll step; returns false when the session is finished.
   bool PollOnce();
   [[nodiscard]] bool DrainRequested() const;
-  void AdvanceAnalysis(Time advance_to, bool final_poll);
+  void AdvanceAnalysis(Time advance_to);
   void ApplyBackpressure(Time advance_to);
   [[nodiscard]] LiveCheckpoint BuildCheckpoint() const;
   void WriteCheckpoint();
@@ -214,6 +214,8 @@ class LiveRunner {
 
   telemetry::TailingDatasetReader reader_;
   telemetry::SessionDataset ds_;  ///< Retained raw records.
+  /// Per-poll analysis span of ds_ (AdvanceAnalysis); storage reused.
+  telemetry::SessionDataset span_;
   analysis::StreamingDetector streaming_;
   std::optional<StreamWatchdog> watchdog_;  ///< Built once meta is known.
   LiveRanking ranking_;

@@ -22,6 +22,8 @@
 #include <memory>
 #include <numeric>
 #include <span>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/column.h"
@@ -82,13 +84,50 @@ class RowIterator {
 };
 
 /// CRTP mixin supplying the row-compatible API on top of a Derived that
-/// implements Get(i), Append(rec), RowTime(i), ForEachColumn(visitor), and
-/// size().
+/// implements Get(i), Append(rec), RowTime(i), size(), and a static
+/// Tie(self) listing its columns.
 template <typename Derived, typename Record>
 class RowApi {
  public:
   using value_type = Record;
   using const_iterator = RowIterator<Derived, Record>;
+
+  /// Calls fn(column) for every column, in Tie order.
+  template <typename Fn>
+  void ForEachColumn(Fn&& fn) {
+    std::apply([&](auto&... c) { (fn(c), ...); }, Derived::Tie(d()));
+  }
+  template <typename Fn>
+  void ForEachColumn(Fn&& fn) const {
+    std::apply([&](const auto&... c) { (fn(c), ...); }, Derived::Tie(d()));
+  }
+  /// Calls fn(mine, theirs) for every column of this stream and the
+  /// matching column of `other`, in Tie order.
+  template <typename Fn>
+  void ForEachColumnWith(const Derived& other, Fn&& fn) {
+    auto mine = Derived::Tie(d());
+    auto theirs = Derived::Tie(other);
+    constexpr std::size_t kColumns = std::tuple_size_v<decltype(mine)>;
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+      (fn(std::get<I>(mine), std::get<I>(theirs)), ...);
+    }(std::make_index_sequence<kColumns>{});
+  }
+
+  /// Makes this stream a zero-copy view of rows [first, first + count) of
+  /// `src`. The view borrows `src`'s storage, so it is valid only until
+  /// `src` is next modified; a mutation of the view copies first.
+  void BorrowRows(const Derived& src, std::size_t first, std::size_t count) {
+    ForEachColumnWith(src, [&](auto& mine, const auto& theirs) {
+      mine.Adopt(nullptr, theirs.data() + first, count);
+    });
+  }
+  /// Replaces this stream's rows with src's rows `rows[0]`, `rows[1]`, ...,
+  /// reusing this stream's own column capacity.
+  void GatherRows(const Derived& src, const std::vector<std::uint32_t>& rows) {
+    ForEachColumnWith(src, [&](auto& mine, const auto& theirs) {
+      mine.GatherFrom(theirs, rows);
+    });
+  }
 
   [[nodiscard]] bool empty() const { return d().size() == 0; }
   [[nodiscard]] Record operator[](std::size_t i) const { return d().Get(i); }
@@ -245,15 +284,12 @@ class DciColumns : public RowApi<DciColumns, DciRecord> {
     harq_process.push_back(r.harq_process);
     attempt.push_back(r.attempt);
   }
-  template <typename Fn>
-  void ForEachColumn(Fn&& fn) {
-    fn(time); fn(rnti); fn(dir); fn(prbs); fn(mcs); fn(tbs_bytes);
-    fn(is_retx); fn(harq_process); fn(attempt);
-  }
-  template <typename Fn>
-  void ForEachColumn(Fn&& fn) const {
-    fn(time); fn(rnti); fn(dir); fn(prbs); fn(mcs); fn(tbs_bytes);
-    fn(is_retx); fn(harq_process); fn(attempt);
+  /// Every column, in schema order (the order RowApi's column visitors
+  /// and the binary format walk them).
+  template <typename Self>
+  static auto Tie(Self& s) {
+    return std::tie(s.time, s.rnti, s.dir, s.prbs, s.mcs, s.tbs_bytes,
+                    s.is_retx, s.harq_process, s.attempt);
   }
 };
 
@@ -288,15 +324,12 @@ class GnbLogColumns : public RowApi<GnbLogColumns, GnbLogRecord> {
     rlc_retx.push_back(r.rlc_retx ? 1 : 0);
     rrc_state.push_back(static_cast<std::uint8_t>(r.rrc_state));
   }
-  template <typename Fn>
-  void ForEachColumn(Fn&& fn) {
-    fn(time); fn(rnti); fn(dir); fn(rlc_buffer_bytes); fn(rlc_retx);
-    fn(rrc_state);
-  }
-  template <typename Fn>
-  void ForEachColumn(Fn&& fn) const {
-    fn(time); fn(rnti); fn(dir); fn(rlc_buffer_bytes); fn(rlc_retx);
-    fn(rrc_state);
+  /// Every column, in schema order (the order RowApi's column visitors
+  /// and the binary format walk them).
+  template <typename Self>
+  static auto Tie(Self& s) {
+    return std::tie(s.time, s.rnti, s.dir, s.rlc_buffer_bytes, s.rlc_retx,
+                    s.rrc_state);
   }
 };
 
@@ -339,15 +372,12 @@ class PacketColumns : public RowApi<PacketColumns, PacketRecord> {
     is_audio.push_back(r.is_audio ? 1 : 0);
     frame_id.push_back(r.frame_id);
   }
-  template <typename Fn>
-  void ForEachColumn(Fn&& fn) {
-    fn(id); fn(dir); fn(size_bytes); fn(sent); fn(received); fn(is_rtcp);
-    fn(is_audio); fn(frame_id);
-  }
-  template <typename Fn>
-  void ForEachColumn(Fn&& fn) const {
-    fn(id); fn(dir); fn(size_bytes); fn(sent); fn(received); fn(is_rtcp);
-    fn(is_audio); fn(frame_id);
+  /// Every column, in schema order (the order RowApi's column visitors
+  /// and the binary format walk them).
+  template <typename Self>
+  static auto Tie(Self& s) {
+    return std::tie(s.id, s.dir, s.size_bytes, s.sent, s.received, s.is_rtcp,
+                    s.is_audio, s.frame_id);
   }
 };
 
@@ -403,19 +433,15 @@ class StatsColumns : public RowApi<StatsColumns, WebRtcStatsRecord> {
     concealed_ratio.push_back(r.concealed_ratio);
     frozen.push_back(r.frozen ? 1 : 0);
   }
-  template <typename Fn>
-  void ForEachColumn(Fn&& fn) {
-    fn(time); fn(inbound_fps); fn(outbound_fps); fn(outbound_resolution);
-    fn(jitter_buffer_ms); fn(target_bitrate_bps); fn(pushback_bitrate_bps);
-    fn(outstanding_bytes); fn(cwnd_bytes); fn(gcc_state); fn(delay_slope);
-    fn(concealed_ratio); fn(frozen);
-  }
-  template <typename Fn>
-  void ForEachColumn(Fn&& fn) const {
-    fn(time); fn(inbound_fps); fn(outbound_fps); fn(outbound_resolution);
-    fn(jitter_buffer_ms); fn(target_bitrate_bps); fn(pushback_bitrate_bps);
-    fn(outstanding_bytes); fn(cwnd_bytes); fn(gcc_state); fn(delay_slope);
-    fn(concealed_ratio); fn(frozen);
+  /// Every column, in schema order (the order RowApi's column visitors
+  /// and the binary format walk them).
+  template <typename Self>
+  static auto Tie(Self& s) {
+    return std::tie(s.time, s.inbound_fps, s.outbound_fps,
+                    s.outbound_resolution, s.jitter_buffer_ms,
+                    s.target_bitrate_bps, s.pushback_bitrate_bps,
+                    s.outstanding_bytes, s.cwnd_bytes, s.gcc_state,
+                    s.delay_slope, s.concealed_ratio, s.frozen);
   }
 };
 

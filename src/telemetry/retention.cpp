@@ -1,12 +1,42 @@
 #include "telemetry/retention.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 namespace domino::telemetry {
 
 namespace {
 
 constexpr Duration kCutGrid = Seconds(1.0);
+
+/// One stream of GatherAnalysisSpan; `rows` is index scratch.
+template <typename Cols>
+void GatherStreamSpan(const Cols& src, Time lo, Cols& dst,
+                      std::vector<std::uint32_t>& rows) {
+  const std::size_t n = src.size();
+  std::size_t first = n;
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (src.RowTime(i) >= lo) {
+      if (count == 0) first = i;
+      ++count;
+    }
+  }
+  if (count == 0 && n > 0) {  // Keep the stream present: its last row.
+    first = n - 1;
+    count = 1;
+  }
+  if (first + count == n) {
+    dst.BorrowRows(src, first, count);
+    return;
+  }
+  rows.clear();
+  for (std::size_t i = first; i < n; ++i) {
+    if (src.RowTime(i) >= lo) rows.push_back(static_cast<std::uint32_t>(i));
+  }
+  dst.GatherRows(src, rows);
+}
 
 }  // namespace
 
@@ -61,6 +91,22 @@ void NoteRetained(const SessionDataset& ds, RetentionStats& stats) {
   if (ds.end > ds.begin) {
     stats.peak_retained_span =
         std::max(stats.peak_retained_span, ds.end - ds.begin);
+  }
+}
+
+void GatherAnalysisSpan(const SessionDataset& ds, Time lo,
+                        SessionDataset& span) {
+  span.cell_name = ds.cell_name;
+  span.is_private_cell = ds.is_private_cell;
+  span.begin = lo;
+  span.end = ds.end;
+  span.ue_rnti = ds.ue_rnti;
+  std::vector<std::uint32_t> rows;
+  GatherStreamSpan(ds.dci, lo, span.dci, rows);
+  GatherStreamSpan(ds.gnb_log, lo, span.gnb_log, rows);
+  GatherStreamSpan(ds.packets, lo, span.packets, rows);
+  for (std::size_t c = 0; c < ds.stats.size(); ++c) {
+    GatherStreamSpan(ds.stats[c], lo, span.stats[c], rows);
   }
 }
 

@@ -50,4 +50,23 @@ std::size_t ApplyRetention(SessionDataset& ds, Time cut,
 /// poll, after ingest).
 void NoteRetained(const SessionDataset& ds, RetentionStats& stats);
 
+/// Bounded analysis span for live polling: fills `span` with the rows of
+/// `ds` whose RowTime is >= `lo`, in storage order, and sets span.begin =
+/// `lo`. Metadata, the end time and the RNTI timeline are copied as is. A
+/// stream that has rows but none at or after `lo` keeps its last row, so
+/// the sanitizer still treats it as present and reports its tail gap.
+/// Streams whose selected rows form a suffix of `ds` are borrowed
+/// zero-copy, valid until `ds` is next modified; the others are gathered
+/// into `span`'s own column storage, which is reused across calls.
+///
+/// `lo` must be >= ds.begin and on the 1 s retention grid
+/// (QuantizeRetentionCut), so the derived 50 ms rate bins keep their edges.
+/// Then sanitizing and deriving the span gives every window that begins at
+/// or after lo + gap_threshold the same detector result as sanitizing and
+/// deriving all of `ds` (DESIGN.md §9 has the argument). Skew correction
+/// estimates over the whole span, so it breaks this; callers must not
+/// enable it.
+void GatherAnalysisSpan(const SessionDataset& ds, Time lo,
+                        SessionDataset& span);
+
 }  // namespace domino::telemetry
