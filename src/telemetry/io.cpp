@@ -205,7 +205,7 @@ Direction DirFromString(std::string_view s) {
 // Each stream's schema lives in one Write*Rows/MapRow pair. The public
 // row-vector, columnar and one-line entry points below are thin adapters
 // over these: ParseRows feeds each good record of a stream to a `sink`, and
-// ParseOneRow maps a single line.
+// ParseCsvRow maps a single line.
 
 template <typename Range>
 void WriteDciRows(std::ostream& os, const Range& records) {
@@ -341,28 +341,6 @@ void ParseRows(std::istream& is, const char* stream_name, ReadStats& st,
   });
 }
 
-/// ParseCsvRow for any stream: the batch reader's per-row steps (CR strip,
-/// blank skip, tokenize, map) on one line, without the stream.
-template <typename Rec>
-LineParse ParseOneRow(std::string& line, std::size_t row,
-                      const InputLimits& limits,
-                      std::vector<std::string_view>& cells, ReadStats* stats,
-                      Rec& out) {
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  if (line.empty()) return LineParse::kBlank;
-  if (ParseCsvLineViews(line, cells, limits.max_fields)) {
-    Row c(cells, row);
-    if (MapRow(c, out)) return LineParse::kRecord;
-    if (stats != nullptr) c.Report(*stats);
-  } else if (stats != nullptr) {
-    AddMalformedLine(*stats, row, limits);
-  }
-  if (stats != nullptr) {
-    ++stats->rows_total;
-    ++stats->rows_dropped;
-  }
-  return LineParse::kDropped;
-}
 
 ReadStats& StatsOrLocal(ReadStats* stats, ReadStats& local) {
   return stats != nullptr ? *stats : local;
@@ -395,9 +373,7 @@ std::vector<DciRecord> ReadDciCsv(std::istream& is, ReadStats* stats,
 void ReadDciCsvInto(std::istream& is, DciColumns& out, ReadStats* stats,
                     const InputLimits& limits, std::size_t reserve_hint) {
   ReadStats local;
-  if (reserve_hint > 0) {
-    out.reserve(out.size() + CapHint(reserve_hint, limits));
-  }
+  if (reserve_hint > 0) out.reserve(out.size() + CapHint(reserve_hint, limits));
   ParseRows<DciRecord>(is, "dci", StatsOrLocal(stats, local), limits,
                        [&](const DciRecord& r) { out.Append(r); });
 }
@@ -422,9 +398,7 @@ std::vector<PacketRecord> ReadPacketCsv(std::istream& is, ReadStats* stats,
 void ReadPacketCsvInto(std::istream& is, PacketColumns& out, ReadStats* stats,
                        const InputLimits& limits, std::size_t reserve_hint) {
   ReadStats local;
-  if (reserve_hint > 0) {
-    out.reserve(out.size() + CapHint(reserve_hint, limits));
-  }
+  if (reserve_hint > 0) out.reserve(out.size() + CapHint(reserve_hint, limits));
   ParseRows<PacketRecord>(is, "packets", StatsOrLocal(stats, local), limits,
                           [&](const PacketRecord& r) { out.Append(r); });
 }
@@ -451,9 +425,7 @@ std::vector<WebRtcStatsRecord> ReadStatsCsv(std::istream& is,
 void ReadStatsCsvInto(std::istream& is, StatsColumns& out, ReadStats* stats,
                       const InputLimits& limits, std::size_t reserve_hint) {
   ReadStats local;
-  if (reserve_hint > 0) {
-    out.reserve(out.size() + CapHint(reserve_hint, limits));
-  }
+  if (reserve_hint > 0) out.reserve(out.size() + CapHint(reserve_hint, limits));
   ParseRows<WebRtcStatsRecord>(
       is, "stats", StatsOrLocal(stats, local), limits,
       [&](const WebRtcStatsRecord& r) { out.Append(r); });
@@ -479,37 +451,45 @@ std::vector<GnbLogRecord> ReadGnbLogCsv(std::istream& is, ReadStats* stats,
 void ReadGnbLogCsvInto(std::istream& is, GnbLogColumns& out, ReadStats* stats,
                        const InputLimits& limits, std::size_t reserve_hint) {
   ReadStats local;
-  if (reserve_hint > 0) {
-    out.reserve(out.size() + CapHint(reserve_hint, limits));
-  }
+  if (reserve_hint > 0) out.reserve(out.size() + CapHint(reserve_hint, limits));
   ParseRows<GnbLogRecord>(is, "gnb_log", StatsOrLocal(stats, local), limits,
                           [&](const GnbLogRecord& r) { out.Append(r); });
 }
 
+// The batch reader's per-row steps (CR strip, blank skip, tokenize, map) on
+// one line, without the stream.
+template <typename Rec>
 LineParse ParseCsvRow(std::string& line, std::size_t row,
                       const InputLimits& limits,
                       std::vector<std::string_view>& cells, ReadStats* stats,
-                      DciRecord& out) {
-  return ParseOneRow(line, row, limits, cells, stats, out);
+                      Rec& out) {
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  if (line.empty()) return LineParse::kBlank;
+  if (ParseCsvLineViews(line, cells, limits.max_fields)) {
+    Row c(cells, row);
+    if (MapRow(c, out)) return LineParse::kRecord;
+    if (stats != nullptr) c.Report(*stats);
+  } else if (stats != nullptr) {
+    AddMalformedLine(*stats, row, limits);
+  }
+  if (stats != nullptr) {
+    ++stats->rows_total;
+    ++stats->rows_dropped;
+  }
+  return LineParse::kDropped;
 }
-LineParse ParseCsvRow(std::string& line, std::size_t row,
-                      const InputLimits& limits,
-                      std::vector<std::string_view>& cells, ReadStats* stats,
-                      GnbLogRecord& out) {
-  return ParseOneRow(line, row, limits, cells, stats, out);
-}
-LineParse ParseCsvRow(std::string& line, std::size_t row,
-                      const InputLimits& limits,
-                      std::vector<std::string_view>& cells, ReadStats* stats,
-                      PacketRecord& out) {
-  return ParseOneRow(line, row, limits, cells, stats, out);
-}
-LineParse ParseCsvRow(std::string& line, std::size_t row,
-                      const InputLimits& limits,
-                      std::vector<std::string_view>& cells, ReadStats* stats,
-                      WebRtcStatsRecord& out) {
-  return ParseOneRow(line, row, limits, cells, stats, out);
-}
+template LineParse ParseCsvRow(std::string&, std::size_t, const InputLimits&,
+                               std::vector<std::string_view>&, ReadStats*,
+                               DciRecord&);
+template LineParse ParseCsvRow(std::string&, std::size_t, const InputLimits&,
+                               std::vector<std::string_view>&, ReadStats*,
+                               GnbLogRecord&);
+template LineParse ParseCsvRow(std::string&, std::size_t, const InputLimits&,
+                               std::vector<std::string_view>&, ReadStats*,
+                               PacketRecord&);
+template LineParse ParseCsvRow(std::string&, std::size_t, const InputLimits&,
+                               std::vector<std::string_view>&, ReadStats*,
+                               WebRtcStatsRecord&);
 
 bool DatasetLoadReport::ok() const {
   for (const auto& s : streams) {

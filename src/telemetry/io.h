@@ -140,22 +140,13 @@ enum class LineParse : std::uint8_t {
 /// leaves `stats` alone, so the caller decides whether it is consumed.
 /// `stats` may be null. The per-stream record budget (max_records) does
 /// not apply to a single line.
+/// Instantiated for DciRecord, GnbLogRecord, PacketRecord and
+/// WebRtcStatsRecord.
+template <typename Rec>
 LineParse ParseCsvRow(std::string& line, std::size_t row,
                       const InputLimits& limits,
                       std::vector<std::string_view>& cells, ReadStats* stats,
-                      DciRecord& out);
-LineParse ParseCsvRow(std::string& line, std::size_t row,
-                      const InputLimits& limits,
-                      std::vector<std::string_view>& cells, ReadStats* stats,
-                      GnbLogRecord& out);
-LineParse ParseCsvRow(std::string& line, std::size_t row,
-                      const InputLimits& limits,
-                      std::vector<std::string_view>& cells, ReadStats* stats,
-                      PacketRecord& out);
-LineParse ParseCsvRow(std::string& line, std::size_t row,
-                      const InputLimits& limits,
-                      std::vector<std::string_view>& cells, ReadStats* stats,
-                      WebRtcStatsRecord& out);
+                      Rec& out);
 
 /// Parses meta.csv (cell name, privacy flag, session range, RNTI timeline)
 /// into `ds`. Returns true when the session row was parseable; diagnostics
