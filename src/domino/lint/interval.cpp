@@ -67,7 +67,14 @@ Interval Div(const Interval& a, const Interval& b) {
 }
 
 std::string FormatInterval(const Interval& r) {
-  return "[" + FormatNum(r.lo) + ", " + FormatNum(r.hi) + "]";
+  // Built by append, not `"[" + ...`: GCC 12's -O3 inlining of that
+  // operator+ raises a false -Wrestrict.
+  const std::string lo = FormatNum(r.lo);
+  const std::string hi = FormatNum(r.hi);
+  std::string out;
+  out.reserve(lo.size() + hi.size() + 4);
+  out.append("[").append(lo).append(", ").append(hi).append("]");
+  return out;
 }
 
 Tri TriNot(Tri a) {
