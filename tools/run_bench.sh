@@ -25,8 +25,14 @@ fi
 tmp=$(mktemp "$out.XXXXXX")
 trap 'rm -f "$tmp"' EXIT
 
+# Record the machine with the numbers: thread-scaling and wall-clock rows
+# mean little without the core count and the build type.
+build_type=$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$build_dir/CMakeCache.txt")
+build_type=${build_type:-RelWithDebInfo}  # CMakeLists.txt's default.
+
 # shellcheck disable=SC2086  # BENCH_ARGS is intentionally word-split.
 if ! "$bench" \
+  --benchmark_context="nproc=$(nproc),build_type=$build_type" \
   --benchmark_format=json \
   --benchmark_out="$tmp" \
   --benchmark_out_format=json \
