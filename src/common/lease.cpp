@@ -97,7 +97,11 @@ bool AllocateToken(const std::string& dir, std::uint64_t* token,
   std::uint64_t cand = max_seen + 1;
   for (int tries = 0; tries < 4096; ++tries, ++cand) {
     ec.clear();
-    if (fs::create_directory(epochs / ("e" + U64(cand)), ec)) {
+    // Appended, not `"e" + U64(cand)`: GCC 12's -O3 inlining of that
+    // operator+ raises a false -Wrestrict.
+    std::string name = "e";
+    name += U64(cand);
+    if (fs::create_directory(epochs / name, ec)) {
       *token = cand;
       return true;
     }

@@ -115,7 +115,9 @@ TEST(LintFixtureTest, EveryCatalogCodeHasAFixtureThatTriggersIt) {
     EXPECT_EQ(d->severity, fc.severity);
     EXPECT_EQ(d->span.line, fc.line);
     EXPECT_EQ(d->span.col, fc.col);
-    if (fc.fixit[0] != '\0') EXPECT_EQ(d->fixit, fc.fixit);
+    if (fc.fixit[0] != '\0') {
+      EXPECT_EQ(d->fixit, fc.fixit);
+    }
   }
 }
 

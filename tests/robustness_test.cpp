@@ -303,7 +303,9 @@ TEST_P(FaultMatrixTest, SanitizedAnalysisIsDeterministicAndEngineAgnostic) {
     auto replay = RunFaulted(clean, fc.spec, seed, /*incremental=*/false);
 
     // Injection left a mark wherever the fault class is observable.
-    if (fc.detectable) EXPECT_FALSE(health.clean()) << fc.name;
+    if (fc.detectable) {
+      EXPECT_FALSE(health.clean()) << fc.name;
+    }
 
     // Naive == incremental, field by field, confidence included.
     ASSERT_EQ(naive.size(), incremental.size()) << fc.name;
