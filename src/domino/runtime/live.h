@@ -19,6 +19,12 @@
 //    evicted with telemetry/retention.h's 1 s-grid cut, keeping the derived
 //    series of the retained region bit-identical however long the process
 //    has been alive.
+//  * Bounded analysis span. Each poll sanitizes and derives only the
+//    retained rows at or after lo, one gap threshold before the next
+//    window, on the same 1 s grid (telemetry::GatherAnalysisSpan). Every
+//    window still to come gets the result the whole retained data would
+//    give (DESIGN.md §9), so a poll costs what is new, not what is
+//    retained.
 //
 // Supervision: a per-stream trace-time watchdog (watchdog.h) excludes
 // stalled streams from the frontier so one dead stream degrades coverage

@@ -85,7 +85,8 @@ class RowIterator {
 
 /// CRTP mixin supplying the row-compatible API on top of a Derived that
 /// implements Get(i), Append(rec), RowTime(i), size(), and a static
-/// Tie(self) listing its columns.
+/// Tie(self) that ties its columns in schema order: the order the column
+/// visitors below and the binary format (binfmt.h) walk them.
 template <typename Derived, typename Record>
 class RowApi {
  public:
@@ -284,8 +285,6 @@ class DciColumns : public RowApi<DciColumns, DciRecord> {
     harq_process.push_back(r.harq_process);
     attempt.push_back(r.attempt);
   }
-  /// Every column, in schema order (the order RowApi's column visitors
-  /// and the binary format walk them).
   template <typename Self>
   static auto Tie(Self& s) {
     return std::tie(s.time, s.rnti, s.dir, s.prbs, s.mcs, s.tbs_bytes,
@@ -324,8 +323,6 @@ class GnbLogColumns : public RowApi<GnbLogColumns, GnbLogRecord> {
     rlc_retx.push_back(r.rlc_retx ? 1 : 0);
     rrc_state.push_back(static_cast<std::uint8_t>(r.rrc_state));
   }
-  /// Every column, in schema order (the order RowApi's column visitors
-  /// and the binary format walk them).
   template <typename Self>
   static auto Tie(Self& s) {
     return std::tie(s.time, s.rnti, s.dir, s.rlc_buffer_bytes, s.rlc_retx,
@@ -372,8 +369,6 @@ class PacketColumns : public RowApi<PacketColumns, PacketRecord> {
     is_audio.push_back(r.is_audio ? 1 : 0);
     frame_id.push_back(r.frame_id);
   }
-  /// Every column, in schema order (the order RowApi's column visitors
-  /// and the binary format walk them).
   template <typename Self>
   static auto Tie(Self& s) {
     return std::tie(s.id, s.dir, s.size_bytes, s.sent, s.received, s.is_rtcp,
@@ -433,8 +428,6 @@ class StatsColumns : public RowApi<StatsColumns, WebRtcStatsRecord> {
     concealed_ratio.push_back(r.concealed_ratio);
     frozen.push_back(r.frozen ? 1 : 0);
   }
-  /// Every column, in schema order (the order RowApi's column visitors
-  /// and the binary format walk them).
   template <typename Self>
   static auto Tie(Self& s) {
     return std::tie(s.time, s.inbound_fps, s.outbound_fps,

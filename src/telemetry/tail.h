@@ -3,9 +3,11 @@
 // A live capture directory has the same layout SaveDataset produces, but
 // the per-stream CSVs *grow* while we read them. TailingDatasetReader keeps
 // a byte offset per stream and, on each poll, parses only the complete rows
-// appended since the previous poll, reusing the tolerant single-stream
-// readers from io.h so malformed-row semantics match batch ingestion
-// exactly.
+// appended since the previous poll. Each line is parsed in place by io.h's
+// one-line entry point, ParseCsvRow, which shares the batch readers' field
+// mapping: malformed-row semantics (kinds and messages) match batch
+// ingestion exactly, diagnostics carry absolute file row numbers, and a
+// good row costs no allocation.
 //
 // Determinism contract (what kill-and-resume correctness rests on): for a
 // given (cut, limit) pair, the multiset and order of rows this reader
