@@ -102,17 +102,6 @@ class RowApi {
   void ForEachColumn(Fn&& fn) const {
     std::apply([&](const auto&... c) { (fn(c), ...); }, Derived::Tie(d()));
   }
-  /// Calls fn(mine, theirs) for every column of this stream and the
-  /// matching column of `other`, in Tie order.
-  template <typename Fn>
-  void ForEachColumnWith(const Derived& other, Fn&& fn) {
-    auto mine = Derived::Tie(d());
-    auto theirs = Derived::Tie(other);
-    constexpr std::size_t kColumns = std::tuple_size_v<decltype(mine)>;
-    [&]<std::size_t... I>(std::index_sequence<I...>) {
-      (fn(std::get<I>(mine), std::get<I>(theirs)), ...);
-    }(std::make_index_sequence<kColumns>{});
-  }
 
   /// Makes this stream a zero-copy view of rows [first, first + count) of
   /// `src`. The view borrows `src`'s storage, so it is valid only until
@@ -239,6 +228,18 @@ class RowApi {
   }
 
  private:
+  /// Calls fn(mine, theirs) for every column of this stream and the
+  /// matching column of `other`, in Tie order.
+  template <typename Fn>
+  void ForEachColumnWith(const Derived& other, Fn&& fn) {
+    auto mine = Derived::Tie(d());
+    auto theirs = Derived::Tie(other);
+    constexpr std::size_t kColumns = std::tuple_size_v<decltype(mine)>;
+    [&]<std::size_t... I>(std::index_sequence<I...>) {
+      (fn(std::get<I>(mine), std::get<I>(theirs)), ...);
+    }(std::make_index_sequence<kColumns>{});
+  }
+
   [[nodiscard]] Derived& d() { return static_cast<Derived&>(*this); }
   [[nodiscard]] const Derived& d() const {
     return static_cast<const Derived&>(*this);
