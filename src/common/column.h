@@ -95,6 +95,18 @@ class Column {
     own_.resize(w);
   }
 
+  /// Drops the first `n` elements (n <= size()). A borrowed column only
+  /// narrows its view; an owned one shifts the rest down in one move.
+  void EraseFront(std::size_t n) {
+    assert(n <= size());
+    if (borrowed_) {
+      bdata_ += n;
+      bsize_ -= n;
+      return;
+    }
+    own_.erase(own_.begin(), own_.begin() + static_cast<std::ptrdiff_t>(n));
+  }
+
   /// Reorders the column to data[perm[0]], data[perm[1]], ...
   void Gather(const std::vector<std::uint32_t>& perm) {
     std::vector<T> out;

@@ -1,8 +1,12 @@
 #include "common/parse.h"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <istream>
 
 namespace domino {
@@ -21,6 +25,24 @@ bool TooLong(std::string_view s) {
 }  // namespace
 
 bool ParseInt64(std::string_view s, std::int64_t& out) {
+  // Fast path: an optional '-' and 1-18 ASCII digits cannot overflow, so
+  // the value is computed inline. Everything else (a '+', 19+ digits,
+  // garbage) takes the strtoll path below, which decides it as before.
+  const bool neg = !s.empty() && s[0] == '-';
+  const std::string_view digits = s.substr(neg ? 1 : 0);
+  if (!digits.empty() && digits.size() <= 18) {
+    std::int64_t v = 0;
+    std::size_t i = 0;
+    for (; i < digits.size(); ++i) {
+      const unsigned d = static_cast<unsigned char>(digits[i]) - '0';
+      if (d > 9) break;
+      v = v * 10 + static_cast<std::int64_t>(d);
+    }
+    if (i == digits.size()) {
+      out = neg ? -v : v;
+      return true;
+    }
+  }
   if (TooLong(s)) return false;
   char buf[kMaxNumberChars + 1];
   s.copy(buf, s.size());
@@ -108,6 +130,59 @@ LineRead BoundedGetline(std::istream& is, std::string& line,
       line.push_back(static_cast<char>(ch));
     } else {
       r.truncated = true;  // keep consuming to '\n' without buffering
+    }
+  }
+}
+
+void LineScanner::Reset(int fd, std::size_t begin, std::size_t end) {
+  fd_ = fd;
+  next_ = begin;
+  end_ = end;
+  pos_ = 0;
+  len_ = 0;
+}
+
+bool LineScanner::Fill() {
+  if (next_ >= end_) return false;
+  if (buf_.empty()) buf_.resize(kBlockBytes);
+  const std::size_t want = std::min(kBlockBytes, end_ - next_);
+  ssize_t n = 0;
+  do {
+    n = ::pread(fd_, buf_.data(), want, static_cast<off_t>(next_));
+  } while (n < 0 && errno == EINTR);
+  if (n <= 0) {
+    end_ = next_;  // Error or shrunk file: the range ends here.
+    return false;
+  }
+  pos_ = 0;
+  len_ = static_cast<std::size_t>(n);
+  next_ += len_;
+  return true;
+}
+
+LineRead LineScanner::Next(std::string& line, std::size_t max) {
+  line.clear();
+  LineRead r;
+  for (;;) {
+    if (pos_ == len_ && !Fill()) {
+      r.hit_eof = true;
+      r.got = r.raw_len > 0;
+      return r;
+    }
+    const char* p = buf_.data() + pos_;
+    const std::size_t avail = len_ - pos_;
+    const auto* nl = static_cast<const char*>(std::memchr(p, '\n', avail));
+    const std::size_t n =
+        nl != nullptr ? static_cast<std::size_t>(nl - p) : avail;
+    const std::size_t room = max - line.size();
+    if (n > room) r.truncated = true;  // Consume the rest unbuffered.
+    line.append(p, std::min(n, room));
+    r.raw_len += n;
+    pos_ += n;
+    if (nl != nullptr) {
+      ++pos_;
+      r.got = true;
+      return r;
     }
   }
 }

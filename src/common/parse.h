@@ -20,6 +20,10 @@
 //    than the cap. Over-long lines are consumed (byte-exact accounting for
 //    the tailing reader) but only the first `max` bytes are materialized.
 //
+//  * LineScanner: the same per-line contract over a byte range of a file
+//    descriptor, read in fixed blocks and split with memchr, for the
+//    tailing reader's hot path.
+//
 // Everything here is exception-free by construction so the fuzz harnesses
 // in fuzz/ can drive the readers with arbitrary bytes.
 #pragma once
@@ -29,6 +33,7 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace domino {
 
@@ -102,5 +107,34 @@ struct LineRead {
 /// decide, matching std::getline semantics).
 LineRead BoundedGetline(std::istream& is, std::string& line,
                         std::size_t max);
+
+/// Line reader over bytes [begin, end) of a file descriptor: each Next()
+/// returns exactly what BoundedGetline would on a stream holding those
+/// bytes, with the end of the range acting as EOF. Bytes are read with
+/// pread in kBlockBytes blocks into one buffer the scanner owns (allocated
+/// on first read, reused across Reset calls); lines are found with memchr,
+/// and at most `max` bytes of a line are copied out. A read error or a
+/// file that shrank under the range ends the range early, like EOF.
+class LineScanner {
+ public:
+  static constexpr std::size_t kBlockBytes = 64 << 10;
+
+  /// Starts scanning [begin, end) of `fd`. The scanner does not own `fd`,
+  /// which must stay open while Next() is called.
+  void Reset(int fd, std::size_t begin, std::size_t end);
+
+  LineRead Next(std::string& line, std::size_t max);
+
+ private:
+  /// Reads the next block of the range; false at the end of the range.
+  bool Fill();
+
+  int fd_ = -1;
+  std::size_t next_ = 0;  ///< File offset of the next block read.
+  std::size_t end_ = 0;
+  std::vector<char> buf_;
+  std::size_t pos_ = 0;  ///< Unconsumed bytes are buf_[pos_, len_).
+  std::size_t len_ = 0;
+};
 
 }  // namespace domino

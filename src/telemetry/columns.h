@@ -148,20 +148,20 @@ class RowApi {
   }
 
   /// Drops every row with RowTime(i) < cut; returns how many were removed.
+  /// When those rows are exactly a prefix (any time-ordered stream), each
+  /// column drops it with one EraseFront; otherwise (packets in arrival
+  /// order, faulted input) the columns are compacted by a keep mask.
   std::size_t RemoveOlderThan(Time cut) {
     const std::size_t n = d().size();
-    std::vector<unsigned char> keep(n, 1);
-    std::size_t removed = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (d().RowTime(i) < cut) {
-        keep[i] = 0;
-        ++removed;
-      }
+    std::size_t head = 0;
+    while (head < n && d().RowTime(head) < cut) ++head;
+    std::size_t i = head;
+    while (i < n && !(d().RowTime(i) < cut)) ++i;
+    if (i == n) {
+      if (head > 0) d().ForEachColumn([&](auto& c) { c.EraseFront(head); });
+      return head;
     }
-    if (removed > 0) {
-      d().ForEachColumn([&](auto& c) { c.Keep(keep); });
-    }
-    return removed;
+    return EraseRowsIf([&](std::size_t r) { return d().RowTime(r) < cut; });
   }
 
   /// Inserts a row at index `idx` (row-materializing; intended for tests
@@ -175,19 +175,7 @@ class RowApi {
   /// Removes every row matching `pred`; returns how many were removed.
   template <typename Pred>
   std::size_t EraseIf(Pred pred) {
-    const std::size_t n = d().size();
-    std::vector<unsigned char> keep(n, 1);
-    std::size_t removed = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (pred(d().Get(i))) {
-        keep[i] = 0;
-        ++removed;
-      }
-    }
-    if (removed > 0) {
-      d().ForEachColumn([&](auto& c) { c.Keep(keep); });
-    }
-    return removed;
+    return EraseRowsIf([&](std::size_t i) { return pred(d().Get(i)); });
   }
 
   /// Swaps rows i and j (column-wise).
@@ -228,6 +216,25 @@ class RowApi {
   }
 
  private:
+  /// Compacts every column by a keep mask, dropping row i iff
+  /// row_pred(i); returns how many were removed.
+  template <typename RowPred>
+  std::size_t EraseRowsIf(RowPred row_pred) {
+    const std::size_t n = d().size();
+    std::vector<unsigned char> keep(n, 1);
+    std::size_t removed = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (row_pred(i)) {
+        keep[i] = 0;
+        ++removed;
+      }
+    }
+    if (removed > 0) {
+      d().ForEachColumn([&](auto& c) { c.Keep(keep); });
+    }
+    return removed;
+  }
+
   /// Calls fn(mine, theirs) for every column of this stream and the
   /// matching column of `other`, in Tie order.
   template <typename Fn>

@@ -1,5 +1,9 @@
 #include "telemetry/tail.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <fstream>
 #include <stdexcept>
@@ -16,6 +20,35 @@ namespace {
 // kMaxBackoffPolls polls instead of every poll.
 constexpr long kMaxBackoffShift = 6;
 constexpr long kMaxBackoffPolls = 64;
+
+/// One read-only descriptor of a stream file, open for a single Poll or
+/// ReplayTo, with the file size snapshotted from it.
+class StreamFile {
+ public:
+  explicit StreamFile(const std::string& path)
+      : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)) {
+    struct stat sb {};
+    if (fd_ >= 0 && ::fstat(fd_, &sb) == 0 && sb.st_size >= 0) {
+      size_ = static_cast<std::size_t>(sb.st_size);
+      ok_ = true;
+    }
+  }
+  ~StreamFile() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  StreamFile(const StreamFile&) = delete;
+  StreamFile& operator=(const StreamFile&) = delete;
+
+  /// Open and sized; size() is meaningful only then.
+  [[nodiscard]] bool ok() const { return ok_; }
+  [[nodiscard]] int fd() const { return fd_; }
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+ private:
+  int fd_;
+  std::size_t size_ = 0;
+  bool ok_ = false;
+};
 
 Time RecordTime(const DciRecord& r) { return r.time; }
 Time RecordTime(const GnbLogRecord& r) { return r.time; }
@@ -83,13 +116,8 @@ TailProgress TailingDatasetReader::Poll(StreamId id, SessionDataset& ds,
   }
 
   const std::string path = dir_ + "/" + StreamFileName(id);
-  std::ifstream f(path, std::ios::binary);
-  std::streamoff size = -1;
-  if (f) {
-    f.seekg(0, std::ios::end);
-    size = f.tellg();
-  }
-  if (!f || size < 0 || static_cast<std::size_t>(size) < st.offset) {
+  const StreamFile f(path);
+  if (!f.ok() || f.size() < st.offset) {
     // Absent, unreadable, or shrunk (a rewritten file would desync our
     // offset — never re-ingest): transient failure, back off exponentially.
     ++st.misses;
@@ -107,21 +135,21 @@ TailProgress TailingDatasetReader::Poll(StreamId id, SessionDataset& ds,
   st.misses = 0;
   st.next_attempt = 0;
 
-  f.seekg(static_cast<std::streamoff>(st.offset));
-
-  // Per-line consumption loop: each complete line is parsed in place by
-  // io.h's one-line entry point, which shares the batch readers' field
-  // mapping and diagnostics.
+  // Per-line consumption loop over [offset, size snapshot): bytes appended
+  // after the snapshot wait for the next poll, so a line straddling it is a
+  // partial tail. Each complete line is parsed in place by io.h's one-line
+  // entry point, which shares the batch readers' field mapping and
+  // diagnostics.
+  scanner_.Reset(f.fd(), st.offset, f.size());
   std::string line;
   std::vector<std::string_view> cells;
   VisitStream(id, ds, [&](auto& cols, auto rec) {
     while (true) {
-      if (st.offset == static_cast<std::size_t>(size)) {
+      if (st.offset == f.size()) {
         p.eof = true;
         return;
       }
-      const LineRead lr =
-          BoundedGetline(f, line, lim.input.max_line_bytes);
+      const LineRead lr = scanner_.Next(line, lim.input.max_line_bytes);
       if (!lr.got) {
         p.eof = true;
         return;
@@ -210,18 +238,13 @@ void TailingDatasetReader::ReplayTo(StreamId id, SessionDataset& ds,
   StreamState& st = state(id);
   if (cur.offset > 0) {
     const std::string path = dir_ + "/" + StreamFileName(id);
-    std::ifstream f(path, std::ios::binary);
-    std::streamoff size = -1;
-    if (f) {
-      f.seekg(0, std::ios::end);
-      size = f.tellg();
-    }
-    if (!f || size < 0 || static_cast<std::size_t>(size) < cur.offset) {
+    const StreamFile f(path);
+    if (!f.ok() || f.size() < cur.offset) {
       throw std::runtime_error(
           "tail: cannot replay " + path +
           " — file is shorter than its checkpointed cursor");
     }
-    f.seekg(0);
+    scanner_.Reset(f.fd(), 0, f.size());
 
     std::size_t pos = 0;
     bool header = false;
@@ -229,8 +252,7 @@ void TailingDatasetReader::ReplayTo(StreamId id, SessionDataset& ds,
     std::vector<std::string_view> cells;
     VisitStream(id, ds, [&](auto& cols, auto rec) {
       while (pos < cur.offset) {
-        const LineRead lr =
-            BoundedGetline(f, line, limits.max_line_bytes);
+        const LineRead lr = scanner_.Next(line, limits.max_line_bytes);
         if (!lr.got) break;
         // A final line with no newline contributes raw_len bytes only; the
         // checkpointed cursor never points past a newline-terminated row,

@@ -3,11 +3,15 @@
 // A live capture directory has the same layout SaveDataset produces, but
 // the per-stream CSVs *grow* while we read them. TailingDatasetReader keeps
 // a byte offset per stream and, on each poll, parses only the complete rows
-// appended since the previous poll. Each line is parsed in place by io.h's
-// one-line entry point, ParseCsvRow, which shares the batch readers' field
-// mapping: malformed-row semantics (kinds and messages) match batch
-// ingestion exactly, diagnostics carry absolute file row numbers, and a
-// good row costs no allocation.
+// appended since the previous poll. A poll opens the file once, snapshots
+// its size from that descriptor and reads [offset, size) in blocks
+// (LineScanner, common/parse.h): block reads are bounded by the snapshot,
+// so bytes appended while the poll runs wait for the next one, and a line
+// straddling the snapshot is a partial tail. Each line is parsed in place
+// by io.h's one-line entry point, ParseCsvRow, which shares the batch
+// readers' field mapping: malformed-row semantics (kinds and messages)
+// match batch ingestion exactly, diagnostics carry absolute file row
+// numbers, and a good row costs no allocation.
 //
 // Determinism contract (what kill-and-resume correctness rests on): for a
 // given (cut, limit) pair, the multiset and order of rows this reader
@@ -36,6 +40,7 @@
 #include <cstddef>
 #include <string>
 
+#include "common/parse.h"
 #include "telemetry/dataset.h"
 #include "telemetry/io.h"
 
@@ -135,6 +140,7 @@ class TailingDatasetReader {
 
   std::string dir_;
   bool meta_ready_ = false;
+  LineScanner scanner_;  ///< One block buffer shared by every stream.
   std::array<StreamState, kStreamCount> state_;
 };
 

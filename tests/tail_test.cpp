@@ -1,11 +1,20 @@
 // Tail-reader parsing parity: the exact records, ReadStats counts and
 // diagnostics (kind, message, absolute row number) TailingDatasetReader
 // produces for blank, CRLF, over-long, malformed-field, too-wide and
-// partial lines, through both Poll and the resume-time ReplayTo.
+// partial lines, through both Poll and the resume-time ReplayTo. Plus the
+// size snapshot: a poll reads only up to the size it saw at open, defers a
+// line straddling it, and polls racing a writer ingest exactly what one
+// poll of the finished file does.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <fstream>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "telemetry/tail.h"
@@ -230,6 +239,121 @@ TEST(TailParseParityTest, EveryStreamMapsFieldsLikeTheBatchReader) {
                       "row has 3 cells, need at least 4"}});
   EXPECT_EQ(reader.stats(StreamId::kGnbLog).rows_total, 3u);
   EXPECT_EQ(reader.stats(StreamId::kGnbLog).rows_dropped, 1u);
+}
+
+/// Same DCI records, cursor, counts and diagnostics.
+void ExpectSameTail(const TailingDatasetReader& got, const SessionDataset& gds,
+                    const TailingDatasetReader& want,
+                    const SessionDataset& wds) {
+  EXPECT_EQ(gds.dci.ToRows(), wds.dci.ToRows());
+  const TailCursor g = got.cursor(StreamId::kDci);
+  const TailCursor w = want.cursor(StreamId::kDci);
+  EXPECT_EQ(g.offset, w.offset);
+  EXPECT_EQ(g.abs_row, w.abs_row);
+  EXPECT_EQ(g.watermark, w.watermark);
+  EXPECT_EQ(g.rows_total, w.rows_total);
+  EXPECT_EQ(g.rows_kept, w.rows_kept);
+  EXPECT_EQ(g.rows_dropped, w.rows_dropped);
+  const ReadStats& gs = got.stats(StreamId::kDci);
+  std::vector<Diag> diags;
+  for (const TelemetryError& e : want.stats(StreamId::kDci).errors) {
+    diags.push_back({e.kind, e.row, e.message});
+  }
+  ExpectDiagnostics(gs, diags);
+}
+
+TEST(TailSnapshotTest, StraddlingLineIsDeferredThenIngestedAtTheSameCursor) {
+  const std::string dir = FreshDir("tail_straddle");
+  const std::string path = dir + "/dci.csv";
+  const std::string head =
+      "time_us,rnti,dir,prbs,mcs,tbs_bytes,is_retx,harq_process,attempt\n"
+      "1000,17921,DL,10,20,3000,0,1,0\n"
+      "2000,17921,UL,5,9,600,1,2,1\n";
+  Append(path, head + "3000,17921,D");  // the snapshot ends mid-line
+
+  TailingDatasetReader reader(dir);
+  SessionDataset ds;
+  const TailLimits lim = Limits(0, 1'000'000);
+  TailProgress p = reader.Poll(StreamId::kDci, ds, lim);
+  EXPECT_EQ(p.rows_ingested, 2u);
+  EXPECT_TRUE(p.partial_tail);
+  EXPECT_EQ(reader.cursor(StreamId::kDci).offset, head.size());
+  EXPECT_EQ(reader.cursor(StreamId::kDci).abs_row, 3u);
+
+  const std::string rest = "L,1,1,100,0,0,0\n";
+  Append(path, rest);
+  p = reader.Poll(StreamId::kDci, ds, lim);
+  EXPECT_EQ(p.rows_ingested, 1u);
+  EXPECT_TRUE(p.eof);
+  EXPECT_FALSE(p.partial_tail);
+  EXPECT_EQ(reader.cursor(StreamId::kDci).offset,
+            head.size() + std::string("3000,17921,D").size() + rest.size());
+  EXPECT_EQ(reader.cursor(StreamId::kDci).abs_row, 4u);
+
+  TailingDatasetReader once(dir);
+  SessionDataset ods;
+  once.Poll(StreamId::kDci, ods, lim);
+  ExpectSameTail(reader, ds, once, ods);
+}
+
+TEST(TailSnapshotTest, PollsRacingAWriterIngestWhatOnePollDoes) {
+  // > 64 KiB of rows, with CRLF, blank, malformed and over-long lines, so
+  // the writer's chunks split lines, CRLF pairs and scanner blocks alike.
+  std::mt19937_64 rng(29);
+  std::string bytes =
+      "time_us,rnti,dir,prbs,mcs,tbs_bytes,is_retx,harq_process,attempt\n";
+  for (int i = 0; bytes.size() < 3 * (64 << 10); ++i) {
+    switch (rng() % 20) {
+      case 0:
+        bytes += "\n";
+        break;
+      case 1:
+        bytes.append("x").append(std::to_string(i));
+        bytes.append(",17921,DL,1,1,1,0,0,0\n");
+        break;
+      case 2:
+        bytes.append(200, '7').append("\n");
+        break;
+      default:
+        bytes.append(std::to_string(1000 * (i + 1))).append(",17921,");
+        bytes.append(i % 2 == 0 ? "DL," : "UL,");
+        bytes.append(std::to_string(i % 50)).append(",20,");
+        bytes.append(std::to_string(rng() % 100000)).append(",0,1,0");
+        bytes.append(rng() % 4 == 0 ? "\r\n" : "\n");
+    }
+  }
+
+  const std::string dir = FreshDir("tail_race");
+  const std::string path = dir + "/dci.csv";
+  const int wfd =
+      ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
+  ASSERT_GE(wfd, 0);
+  std::thread writer([&] {
+    std::mt19937_64 wrng(31);
+    for (std::size_t at = 0; at < bytes.size();) {
+      const std::size_t n = std::min<std::size_t>(1 + wrng() % 3000,
+                                                  bytes.size() - at);
+      if (::write(wfd, bytes.data() + at, n) != static_cast<ssize_t>(n)) {
+        return;
+      }
+      at += n;
+    }
+  });
+
+  const TailLimits lim = Limits(0, 1'000'000'000);
+  TailingDatasetReader reader(dir);
+  SessionDataset ds;
+  for (int i = 0; i < 200; ++i) reader.Poll(StreamId::kDci, ds, lim);
+  writer.join();
+  ::close(wfd);
+  reader.Poll(StreamId::kDci, ds, lim);
+  ASSERT_EQ(reader.cursor(StreamId::kDci).offset, bytes.size());
+
+  TailingDatasetReader once(dir);
+  SessionDataset ods;
+  once.Poll(StreamId::kDci, ods, lim);
+  ASSERT_GT(ods.dci.size(), 1000u);
+  ExpectSameTail(reader, ds, once, ods);
 }
 
 }  // namespace
