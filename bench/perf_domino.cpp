@@ -27,6 +27,7 @@
 #include "telemetry/fault_inject.h"
 #include "telemetry/io.h"
 #include "telemetry/sanitize.h"
+#include "telemetry/tail.h"
 
 using namespace domino;
 using namespace domino::bench;
@@ -313,6 +314,57 @@ void BM_LivePipeline(benchmark::State& state) {
       benchmark::Counter(trace_seconds, benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_LivePipeline)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/// The live path's ingest stage alone: a fresh TailingDatasetReader reads
+/// one 60 s CSV capture on `domino live`'s catch-up poll grid (2 s chunks,
+/// 1 s reorder guard, so every poll holds one row back and re-reads it
+/// next time), with no retention and no analysis. bytes_per_s is capture
+/// bytes consumed per wall second.
+void BM_TailPoll(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const std::string dir =
+      (fs::temp_directory_path() /
+       ("domino_bench_tail-" + std::to_string(::getpid())))
+          .string();
+  {
+    telemetry::SessionDataset ds = RunCall(sim::Amarisoft(), Seconds(60), 5);
+    telemetry::SaveDataset(ds, dir);
+  }
+  double bytes = 0;
+  for (std::size_t i = 0; i < telemetry::kStreamCount; ++i) {
+    bytes += static_cast<double>(fs::file_size(
+        dir + "/" +
+        telemetry::StreamFileName(static_cast<telemetry::StreamId>(i))));
+  }
+  std::size_t rows = 0;
+  for (auto _ : state) {
+    telemetry::TailingDatasetReader reader(dir);
+    telemetry::SessionDataset ds;
+    reader.PollMeta(ds);
+    telemetry::TailLimits lim;
+    lim.reorder_guard = Seconds(1.0);
+    lim.max_jump = Seconds(60.0);
+    for (long k = 1;; ++k) {
+      lim.limit = ds.begin + Seconds(2.0) * k;
+      bool all_eof = true;
+      for (std::size_t i = 0; i < telemetry::kStreamCount; ++i) {
+        const telemetry::TailProgress p =
+            reader.Poll(static_cast<telemetry::StreamId>(i), ds, lim);
+        rows += p.rows_ingested;
+        all_eof = all_eof && p.eof;
+      }
+      if (all_eof && lim.limit > ds.end + lim.reorder_guard) break;
+    }
+    benchmark::DoNotOptimize(ds);
+  }
+  fs::remove_all(dir);
+  state.counters["bytes_per_s"] = benchmark::Counter(
+      bytes * static_cast<double>(state.iterations()),
+      benchmark::Counter::kIsRate);
+  state.counters["rows_per_s"] = benchmark::Counter(
+      static_cast<double>(rows), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_TailPoll)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Fleet supervision overhead: 4 sessions over a 2-worker pool, as `domino
 /// serve` runs them (admission control, outcome collection, report
