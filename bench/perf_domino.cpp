@@ -127,6 +127,20 @@ void BM_DslEval(benchmark::State& state) {
 }
 BENCHMARK(BM_DslEval);
 
+/// The extended example config's percentile atom over the same window:
+/// one p90 over ~5 s of per-slot TBS samples per evaluation.
+void BM_DslEvalPercentile(benchmark::State& state) {
+  auto expr = analysis::ParseExpression("p(fwd.tbs, 90) < 600");
+  const auto& trace = SharedTrace();
+  analysis::WindowContext ctx(trace, Time{0} + Seconds(30),
+                              Time{0} + Seconds(35), 0);
+  for (auto _ : state) {
+    bool v = analysis::EvalCondition(*expr, ctx);
+    benchmark::DoNotOptimize(v);
+  }
+}
+BENCHMARK(BM_DslEvalPercentile);
+
 void BM_PythonCodegen(benchmark::State& state) {
   auto cfg = analysis::ParseConfigText(
       "event surge: max(fwd.owd_ms) > 200\n"

@@ -5,20 +5,53 @@
 
 namespace domino {
 
+namespace {
+
+/// The order statistics a percentile interpolates between (n >= 2): the
+/// result is v[lo] + frac * (v[hi] - v[lo]) over the sorted values v.
+struct PercentileRank {
+  std::size_t lo;
+  std::size_t hi;
+  double frac;
+};
+
+PercentileRank RankOf(std::size_t n, double p) {
+  p = std::clamp(p, 0.0, 100.0);
+  double rank = p / 100.0 * static_cast<double>(n - 1);
+  auto lo = static_cast<std::size_t>(rank);
+  return {lo, std::min(lo + 1, n - 1), rank - static_cast<double>(lo)};
+}
+
+}  // namespace
+
 double PercentileSorted(const std::vector<double>& sorted, double p) {
   if (sorted.empty()) return 0.0;
   if (sorted.size() == 1) return sorted.front();
-  p = std::clamp(p, 0.0, 100.0);
-  double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
-  auto lo = static_cast<std::size_t>(rank);
-  auto hi = std::min(lo + 1, sorted.size() - 1);
-  double frac = rank - static_cast<double>(lo);
+  auto [lo, hi, frac] = RankOf(sorted.size(), p);
   return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
 double Percentile(std::vector<double> values, double p) {
-  std::sort(values.begin(), values.end());
-  return PercentileSorted(values, p);
+  // A NaN value has no place in a comparison order and a NaN p has no
+  // rank, so such calls keep the sort-based evaluation.
+  if (std::isnan(p) ||
+      std::any_of(values.begin(), values.end(),
+                  [](double v) { return std::isnan(v); })) {
+    std::sort(values.begin(), values.end());
+    return PercentileSorted(values, p);
+  }
+  if (values.empty()) return 0.0;
+  if (values.size() == 1) return values.front();
+  // Select only the two order statistics PercentileSorted would read:
+  // O(n) instead of a full sort.
+  auto [lo, hi, frac] = RankOf(values.size(), p);
+  auto lo_it = values.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(values.begin(), lo_it, values.end());
+  double vlo = *lo_it;
+  // After nth_element every element past lo is >= vlo, so the next order
+  // statistic is the least of them.
+  double vhi = hi == lo ? vlo : *std::min_element(lo_it + 1, values.end());
+  return vlo + frac * (vhi - vlo);
 }
 
 double Mean(const std::vector<double>& values) {

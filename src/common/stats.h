@@ -9,7 +9,9 @@
 namespace domino {
 
 /// Percentile via linear interpolation between order statistics.
-/// `p` is in [0, 100]. Returns 0 for an empty input.
+/// `p` is in [0, 100]. Returns 0 for an empty input. Selects the two order
+/// statistics it needs (O(n)); the result equals sorting then
+/// PercentileSorted. Inputs holding a NaN take the sort path.
 double Percentile(std::vector<double> values, double p);
 
 /// Percentile over an already-sorted vector (no copy).

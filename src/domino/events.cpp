@@ -137,13 +137,15 @@ bool ChannelDegrade(const WindowContext& ctx, const TimeSeries<double>& mcs,
                     const EventThresholds& th) {
   auto buckets = ctx.SeriesTimeBuckets(mcs, th.mcs_bucket);
   if (buckets.empty()) return false;
-  double p90 = Percentile(buckets, 90.0);
-  if (p90 >= th.mcs_p90_max) return false;
+  // The low-bucket count is the cheap conjunct: most windows fail it, so
+  // the percentile is only selected for the few that pass.
   int low = 0;
   for (double b : buckets) {
     if (b < th.mcs_low) ++low;
   }
-  return low > th.mcs_low_count;
+  if (low <= th.mcs_low_count) return false;
+  // !(p90 >= max) rather than p90 < max: a NaN p90 does not veto the event.
+  return !(Percentile(std::move(buckets), 90.0) >= th.mcs_p90_max);
 }
 
 bool RateGap(const WindowView<double>& app, const WindowView<double>& tbs,

@@ -37,7 +37,7 @@ void SeriesCursor::Reset(Time begin) {
   init_ = true;
 }
 
-void SeriesCursor::Enter(std::size_t i) {
+void SeriesCursor::PushExtrema(std::size_t i) {
   double v = Value(i);
   // Strict pops keep the earliest of equal extrema at the front, matching
   // std::min_element / std::max_element first-occurrence semantics.
@@ -45,6 +45,21 @@ void SeriesCursor::Enter(std::size_t i) {
   min_dq_.push_back(i);
   while (!max_dq_.empty() && Value(max_dq_.back()) < v) max_dq_.pop_back();
   max_dq_.push_back(i);
+}
+
+void SeriesCursor::TrackExtrema() {
+  // A deque is index-ordered and pops from the back, so an index below lo_
+  // (always in front of the in-window ones) never changes which in-window
+  // indices a push removes, and each one was popped from the front when it
+  // left. The contents therefore depend on [lo_, hi_) alone: pushing it in
+  // order gives exactly the state an always-maintained deque would hold.
+  track_extrema_ = true;
+  for (std::size_t i = lo_; i < hi_; ++i) PushExtrema(i);
+}
+
+void SeriesCursor::Enter(std::size_t i) {
+  double v = Value(i);
+  if (track_extrema_) PushExtrema(i);
   sum_ += v;
   for (Counter& c : counters_) {
     if (Matches(c, v)) ++c.n;
@@ -53,8 +68,10 @@ void SeriesCursor::Enter(std::size_t i) {
 
 void SeriesCursor::Leave(std::size_t i) {
   double v = Value(i);
-  if (!min_dq_.empty() && min_dq_.front() == i) min_dq_.pop_front();
-  if (!max_dq_.empty() && max_dq_.front() == i) max_dq_.pop_front();
+  if (track_extrema_) {
+    if (!min_dq_.empty() && min_dq_.front() == i) min_dq_.pop_front();
+    if (!max_dq_.empty() && max_dq_.front() == i) max_dq_.pop_front();
+  }
   sum_ -= v;
   for (Counter& c : counters_) {
     if (Matches(c, v)) --c.n;

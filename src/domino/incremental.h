@@ -12,7 +12,11 @@
 //   * incremental aggregates — running sum/count, monotonic-deque min/max
 //     (preserving the naive "first minimal/maximal sample" tie-break), and
 //     lazily registered threshold counters, making Min/Max/ArgMin/ArgMax/
-//     Sum/Count/CountIf O(1) amortised per window step;
+//     Sum/Count/CountIf O(1) amortised per window step. A cursor pays only
+//     for what it is asked: the min/max deques start on its first extrema
+//     query, seeded from the current window (their contents depend on the
+//     window alone, so the state is identical to always-on tracking), and a
+//     counter starts on the first query for its threshold;
 //   * BucketGridCursor — grid-aligned time-bucket means for the 50 ms MCS
 //     grouping (Appendix D #16), exact versus TimeBucketMeans whenever the
 //     window begin and width stay on the bucket grid;
@@ -64,11 +68,12 @@ class SeriesCursor {
   [[nodiscard]] bool empty() const { return hi_ == lo_; }
 
   /// Aggregates below require a non-empty window (same contract as
-  /// WindowView::Min/Max/ArgMin/ArgMax).
-  [[nodiscard]] double Min() const { return Value(min_dq_.front()); }
-  [[nodiscard]] double Max() const { return Value(max_dq_.front()); }
-  [[nodiscard]] Time ArgMin() const { return At(min_dq_.front()).time; }
-  [[nodiscard]] Time ArgMax() const { return At(max_dq_.front()).time; }
+  /// WindowView::Min/Max/ArgMin/ArgMax). The first of them on a cursor
+  /// starts its min/max deques; until then Advance maintains none.
+  [[nodiscard]] double Min() { return Value(MinDeque().front()); }
+  [[nodiscard]] double Max() { return Value(MaxDeque().front()); }
+  [[nodiscard]] Time ArgMin() { return At(MinDeque().front()).time; }
+  [[nodiscard]] Time ArgMax() { return At(MaxDeque().front()).time; }
   [[nodiscard]] double Sum() const { return sum_; }
 
   /// Count of samples with value < x (kBelow) or > x (kAbove). The first
@@ -91,9 +96,20 @@ class SeriesCursor {
     return c.op == CountOp::kBelow ? v < c.x : v > c.x;
   }
 
+  const std::deque<std::size_t>& MinDeque() {
+    if (!track_extrema_) TrackExtrema();
+    return min_dq_;
+  }
+  const std::deque<std::size_t>& MaxDeque() {
+    if (!track_extrema_) TrackExtrema();
+    return max_dq_;
+  }
+
   void Enter(std::size_t i);  ///< Sample i joins the window at the back.
   void Leave(std::size_t i);  ///< Sample i leaves the window at the front.
   void Reset(Time begin);     ///< Re-seats the cursor via binary search.
+  void PushExtrema(std::size_t i);  ///< Appends i to both deques.
+  void TrackExtrema();  ///< Starts the deques from the current window.
 
   const TimeSeries<double>* series_;
   bool init_ = false;
@@ -101,6 +117,7 @@ class SeriesCursor {
   Time end_{0};
   std::size_t lo_ = 0;
   std::size_t hi_ = 0;
+  bool track_extrema_ = false;      ///< Deques below are maintained.
   std::deque<std::size_t> min_dq_;  ///< Indices, values non-decreasing.
   std::deque<std::size_t> max_dq_;  ///< Indices, values non-increasing.
   double sum_ = 0;

@@ -2,7 +2,12 @@
 // event queue, CSV, and table rendering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
 #include <sstream>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/event_queue.h"
@@ -243,6 +248,81 @@ TEST(StatsTest, PercentileBasics) {
 TEST(StatsTest, PercentileClampsP) {
   EXPECT_DOUBLE_EQ(Percentile({1, 2}, -10), 1.0);
   EXPECT_DOUBLE_EQ(Percentile({1, 2}, 200), 2.0);
+}
+
+/// The sort-based Percentile that selection replaced, kept as the oracle.
+double SortedPercentileOracle(std::vector<double> values, double p) {
+  std::sort(values.begin(), values.end());
+  return PercentileSorted(values, p);
+}
+
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+TEST(StatsTest, PercentileMatchesSortOracle) {
+  Rng rng(11);
+  for (int trial = 0; trial < 300; ++trial) {
+    auto n = static_cast<std::size_t>(
+        trial < 20 ? trial + 1 : rng.UniformInt(1, 5000));
+    // Small integer range plus a few fractional values: heavy ties.
+    std::vector<double> v(n);
+    for (double& x : v) {
+      x = rng.Chance(0.8) ? static_cast<double>(rng.UniformInt(-5, 5))
+                          : rng.Uniform(-5, 5);
+    }
+    std::vector<double> ps = {0, 100, -10, 200, 50, 90, 99.9,
+                              rng.Uniform(0, 100)};
+    // Ranks that land exactly on an index.
+    if (n > 1) {
+      auto k = static_cast<double>(rng.UniformInt(0, static_cast<int>(n) - 1));
+      ps.push_back(100.0 * k / static_cast<double>(n - 1));
+    }
+    for (double p : ps) {
+      ASSERT_EQ(Percentile(v, p), SortedPercentileOracle(v, p))
+          << "n=" << n << " p=" << p;
+    }
+  }
+}
+
+TEST(StatsTest, PercentileMatchesSortOracleWithInfinities) {
+  const double inf = std::numeric_limits<double>::infinity();
+  Rng rng(12);
+  for (int trial = 0; trial < 200; ++trial) {
+    auto n = static_cast<std::size_t>(rng.UniformInt(1, 64));
+    std::vector<double> v(n);
+    for (double& x : v) {
+      double u = rng.Uniform();
+      x = u < 0.2 ? inf : u < 0.4 ? -inf
+                        : static_cast<double>(rng.UniformInt(0, 3));
+    }
+    for (double p : {0.0, 10.0, 50.0, 90.0, 100.0, rng.Uniform(0, 100)}) {
+      double got = Percentile(v, p);
+      double want = SortedPercentileOracle(v, p);
+      // inf - inf interpolates to NaN on both paths.
+      ASSERT_EQ(Bits(got), Bits(want)) << "n=" << n << " p=" << p;
+    }
+  }
+  // An infinite endpoint interpolates to NaN (0 * inf) on both paths.
+  EXPECT_EQ(Bits(Percentile({-inf, 1, inf}, 0)),
+            Bits(SortedPercentileOracle({-inf, 1, inf}, 0)));
+  EXPECT_EQ(Percentile({-inf, 1, 2, 3}, 100), 3.0);
+}
+
+TEST(StatsTest, PercentileWithNaNKeepsSortResultBitwise) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  Rng rng(13);
+  for (int trial = 0; trial < 200; ++trial) {
+    auto n = static_cast<std::size_t>(rng.UniformInt(1, 200));
+    std::vector<double> v(n);
+    for (double& x : v) {
+      x = rng.Chance(0.1) ? nan : static_cast<double>(rng.UniformInt(0, 9));
+    }
+    v[static_cast<std::size_t>(rng.UniformInt(0, static_cast<int>(n) - 1))] =
+        nan;
+    for (double p : {0.0, 50.0, 90.0, 100.0}) {
+      ASSERT_EQ(Bits(Percentile(v, p)), Bits(SortedPercentileOracle(v, p)))
+          << "n=" << n << " p=" << p;
+    }
+  }
 }
 
 TEST(StatsTest, MeanAndStdDev) {

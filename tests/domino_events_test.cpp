@@ -3,7 +3,13 @@
 // scope-resolution rules of WindowContext.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <vector>
+
+#include "common/stats.h"
 #include "domino/events.h"
+#include "domino/incremental.h"
 #include "trace_fixtures.h"
 
 namespace domino::analysis {
@@ -303,6 +309,61 @@ TEST(EventTest, BriefDipNotDegraded) {
   Fill(t.dir[0].mcs, kWinBegin, kWinEnd, Millis(10),
        [](int i) { return i >= 100 && i < 125 ? 3.0 : 15.0; });
   EXPECT_FALSE(Detect(t, {EventType::kChannelDegrade}, 0));
+}
+
+/// The channel-degrade evaluation as it read before the count-first gate:
+/// sort-based p90, then the low-bucket count.
+bool ChannelDegradeP90First(const TimeSeries<double>& mcs,
+                            const EventThresholds& th) {
+  auto buckets =
+      TimeBucketMeans(mcs.Window(kWinBegin, kWinEnd), kWinBegin,
+                      th.mcs_bucket);
+  if (buckets.empty()) return false;
+  std::vector<double> sorted = buckets;
+  std::sort(sorted.begin(), sorted.end());
+  if (PercentileSorted(sorted, 90.0) >= th.mcs_p90_max) return false;
+  int low = 0;
+  for (double b : buckets) {
+    if (b < th.mcs_low) ++low;
+  }
+  return low > th.mcs_low_count;
+}
+
+TEST(EventTest, ChannelDegradeBoundariesMatchAcrossEngines) {
+  const EventThresholds th;
+  ASSERT_EQ(th.mcs_bucket.micros(), Millis(50).micros());
+  const double at = th.mcs_p90_max;
+  const double below = std::nextafter(th.mcs_p90_max, 0.0);
+  for (int low : {th.mcs_low_count, th.mcs_low_count + 1}) {
+    for (double p90 : {at, below}) {
+      // 100 one-sample buckets whose sorted order is `low` buckets at 3,
+      // filler at 15 up to rank 88, ranks 89 and 90 at `p90` (so the
+      // interpolated p90 is exactly `p90`), and 25 above — interleaved in
+      // time by a fixed stride.
+      std::vector<double> sorted(100, 15.0);
+      for (int i = 0; i < low; ++i) sorted[static_cast<std::size_t>(i)] = 3.0;
+      sorted[89] = sorted[90] = p90;
+      for (std::size_t i = 91; i < 100; ++i) sorted[i] = 25.0;
+      DerivedTrace t = EmptyTrace();
+      Fill(t.dir[0].mcs, kWinBegin, kWinEnd, th.mcs_bucket, [&](int i) {
+        return sorted[static_cast<std::size_t>(i * 37 % 100)];
+      });
+      ASSERT_EQ(t.dir[0].mcs.size(), 100u);
+
+      const bool oracle = ChannelDegradeP90First(t.dir[0].mcs, th);
+      EXPECT_EQ(oracle, low > th.mcs_low_count && p90 < th.mcs_p90_max)
+          << "low=" << low << " p90=" << p90;
+      WindowContext naive(t, kWinBegin, kWinEnd, 0);
+      EXPECT_EQ(DetectEvent({EventType::kChannelDegrade}, naive, th), oracle)
+          << "naive, low=" << low << " p90=" << p90;
+      WindowStatsCache cache(t);
+      cache.BeginWindow(kWinBegin, kWinEnd);
+      WindowContext incremental(t, kWinBegin, kWinEnd, 0, &cache);
+      EXPECT_EQ(DetectEvent({EventType::kChannelDegrade}, incremental, th),
+                oracle)
+          << "incremental, low=" << low << " p90=" << p90;
+    }
+  }
 }
 
 // --- Event 17: HARQ retransmissions ------------------------------------------------------------

@@ -273,5 +273,135 @@ TEST(SeriesCursorTest, MatchesNaiveWindowOverRandomAdvances) {
   }
 }
 
+/// Random integer-valued series (heavy ties, duplicate timestamps) with an
+/// empty 2 s gap starting at `gap_at`.
+TimeSeries<double> TiedSeries(std::uint64_t seed, Time gap_at) {
+  Rng rng(seed);
+  TimeSeries<double> s;
+  Time t{0};
+  for (int i = 0; i < 1500; ++i) {
+    if (t >= gap_at && t < gap_at + Seconds(2)) t = gap_at + Seconds(2);
+    s.Push(t, static_cast<double>(rng.UniformInt(0, 30)));
+    t += Micros(rng.UniformInt(0, 20'000));
+  }
+  return s;
+}
+
+/// Checks every cursor aggregate except the extrema against the naive view.
+void ExpectCheapAggregates(SeriesCursor& cur, const TimeSeries<double>& s,
+                           Time begin, Time end) {
+  WindowView<double> view = s.Window(begin, end);
+  ASSERT_EQ(cur.count(), view.size());
+  EXPECT_EQ(cur.Sum(), view.Sum());  // integer-valued -> exact
+  EXPECT_EQ(cur.CountCmp(CountOp::kBelow, 10.5),
+            view.CountIf([](double v) { return v < 10.5; }));
+}
+
+void ExpectExtrema(SeriesCursor& cur, const TimeSeries<double>& s, Time begin,
+                   Time end) {
+  WindowView<double> view = s.Window(begin, end);
+  ASSERT_EQ(cur.count(), view.size());
+  if (view.empty()) return;
+  EXPECT_EQ(cur.Min(), view.Min());
+  EXPECT_EQ(cur.Max(), view.Max());
+  EXPECT_EQ(cur.ArgMin().micros(), view.ArgMin().micros());
+  EXPECT_EQ(cur.ArgMax().micros(), view.ArgMax().micros());
+}
+
+TEST(SeriesCursorTest, LazyExtremaFirstAskedAfterCountOnlyAdvances) {
+  TimeSeries<double> s = TiedSeries(21, Time{0} + Seconds(100));
+  for (int first_ask : {0, 1, 7, 40, 120}) {
+    SeriesCursor cur(s);
+    Rng rng(static_cast<std::uint64_t>(first_ask) + 1);
+    Time begin{0};
+    for (int step = 0; step < 160; ++step) {
+      begin += Micros(rng.UniformInt(0, 120'000));
+      Time end = begin + Micros(rng.UniformInt(1'000'000, 3'000'000));
+      cur.Advance(begin, end);
+      ExpectCheapAggregates(cur, s, begin, end);
+      if (step >= first_ask) ExpectExtrema(cur, s, begin, end);
+    }
+  }
+  // Many fresh cursors over short windows (a handful of samples), so the
+  // seeded window's first and last samples are often its extrema.
+  Rng rng(99);
+  for (int trial = 0; trial < 300; ++trial) {
+    SeriesCursor cur(s);
+    Time begin = Time{0} + Micros(rng.UniformInt(0, 10'000'000));
+    const auto first_ask = rng.UniformInt(0, 20);
+    for (int step = 0; step <= first_ask + 5; ++step) {
+      begin += Micros(rng.UniformInt(0, 40'000));
+      Time end = begin + Micros(rng.UniformInt(0, 120'000));
+      cur.Advance(begin, end);
+      ExpectCheapAggregates(cur, s, begin, end);
+      if (step >= first_ask) ExpectExtrema(cur, s, begin, end);
+    }
+  }
+}
+
+TEST(SeriesCursorTest, LazyExtremaFirstAskedAfterNonMonotoneReset) {
+  TimeSeries<double> s = TiedSeries(22, Time{0} + Seconds(100));
+  SeriesCursor cur(s);
+  Time begin = Time{0} + Seconds(10);
+  for (int step = 0; step < 30; ++step) {
+    begin += Millis(100);
+    cur.Advance(begin, begin + Seconds(2));
+    ExpectCheapAggregates(cur, s, begin, begin + Seconds(2));
+  }
+  // Jump backwards: Reset re-seats the cursor, then the first extrema query.
+  begin = Time{0} + Seconds(4);
+  Rng rng(5);
+  for (int step = 0; step < 60; ++step) {
+    Time end = begin + Micros(rng.UniformInt(500'000, 2'500'000));
+    cur.Advance(begin, end);
+    ExpectExtrema(cur, s, begin, end);
+    ExpectCheapAggregates(cur, s, begin, end);
+    begin += Micros(rng.UniformInt(0, 100'000));
+  }
+  // Tracking survives a second Reset.
+  begin = Time{0} + Seconds(1);
+  for (int step = 0; step < 20; ++step) {
+    cur.Advance(begin, begin + Seconds(1));
+    ExpectExtrema(cur, s, begin, begin + Seconds(1));
+    begin += Millis(50);
+  }
+}
+
+TEST(SeriesCursorTest, LazyExtremaAcrossEmptyWindows) {
+  const Time gap = Time{0} + Seconds(6);
+  TimeSeries<double> s = TiedSeries(23, gap);
+  // A cursor whose first windows are empty (inside the gap) serves only
+  // count()/Sum(), and is first asked for extrema on the first non-empty
+  // window after it, in the DSL's `count == 0 ? 0 : min` idiom.
+  {
+    SeriesCursor cur(s);
+    bool asked = false;
+    for (Time begin = gap; begin < gap + Seconds(4); begin += Millis(100)) {
+      Time end = begin + Millis(500);
+      cur.Advance(begin, end);
+      ExpectCheapAggregates(cur, s, begin, end);
+      if (cur.count() == 0) {
+        EXPECT_FALSE(asked) << "the gap precedes every non-empty window";
+        continue;
+      }
+      asked = true;
+      ExpectExtrema(cur, s, begin, end);
+    }
+    EXPECT_TRUE(asked);
+  }
+  // A cursor tracking extrema before the gap slides through empty windows
+  // (its deques drain) and keeps serving after it.
+  {
+    SeriesCursor cur(s);
+    for (Time begin = gap - Seconds(2); begin < gap + Seconds(4);
+         begin += Millis(100)) {
+      Time end = begin + Millis(500);
+      cur.Advance(begin, end);
+      ExpectExtrema(cur, s, begin, end);
+      ExpectCheapAggregates(cur, s, begin, end);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace domino::analysis
