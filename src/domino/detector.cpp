@@ -1,5 +1,7 @@
 #include "domino/detector.h"
 
+#include <stdexcept>
+
 #include "domino/incremental.h"
 
 namespace domino::analysis {
@@ -14,6 +16,10 @@ std::vector<ChainInstance> AnalysisResult::AllChains() const {
 
 Detector::Detector(CausalGraph graph, DominoConfig cfg)
     : graph_(std::move(graph)), cfg_(cfg) {
+  // A sub-microsecond step never advances the window loop.
+  if (cfg_.window < Micros(1) || cfg_.step < Micros(1)) {
+    throw std::invalid_argument("Detector: window and step must be >= 1 us");
+  }
   graph_.Validate();
   chains_ = graph_.EnumerateChains();
   node_shares_memo_.resize(graph_.node_count(), 0);

@@ -69,6 +69,8 @@ class WindowStatsCache;  // incremental.h
 
 class Detector {
  public:
+  /// Throws std::invalid_argument when cfg.window or cfg.step is under
+  /// 1 us (the window loop could never advance).
   Detector(CausalGraph graph, DominoConfig cfg);
 
   /// Runs the full sliding-window analysis over the trace. A trace shorter

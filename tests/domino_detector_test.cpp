@@ -3,6 +3,8 @@
 // handling.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "domino/detector.h"
 #include "trace_fixtures.h"
 
@@ -65,6 +67,24 @@ TEST(DetectorTest, WindowCountMatchesStepArithmetic) {
   // Windows start at 0, 0.5, ..., 5.0 -> 11 windows of length 5 s in 10 s.
   EXPECT_EQ(result.windows.size(), 11u);
   EXPECT_EQ(result.windows[1].begin.micros(), 500'000);
+}
+
+TEST(DetectorTest, RejectsWindowOrStepBelowOneMicrosecond) {
+  // The window loop advances by `step`: zero or negative never ends, and
+  // Seconds() truncates a sub-microsecond value to zero.
+  for (Duration bad : {Micros(0), Micros(-500'000), Seconds(0.0000001)}) {
+    DominoConfig step_cfg;
+    step_cfg.step = bad;
+    EXPECT_THROW((void)Detector(CausalGraph::Default(), step_cfg),
+                 std::invalid_argument);
+    DominoConfig window_cfg;
+    window_cfg.window = bad;
+    EXPECT_THROW((void)Detector(CausalGraph::Default(), window_cfg),
+                 std::invalid_argument);
+  }
+  DominoConfig tiny;
+  tiny.window = tiny.step = Micros(1);
+  EXPECT_NO_THROW((void)Detector(CausalGraph::Default(), tiny));
 }
 
 TEST(DetectorTest, ShortTraceYieldsSingleTruncatedWindow) {

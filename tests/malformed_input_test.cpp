@@ -8,6 +8,9 @@
 
 #include <cstdint>
 #include <limits>
+#include <map>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -258,6 +261,26 @@ TEST(CliStrictFlagsTest, MalformedNumericFlagValuesExitTwo) {
   EXPECT_EQ(DryRun({"replay", "/tmp/ds", "/tmp/out", "--stall",
                     "dci=later"}),
             2);
+  // Windows and steps that cannot make progress: a zero, negative or
+  // sub-microsecond step used to hang analyze (or SIGFPE live), and a
+  // negative window ended in a vector::reserve error.
+  for (const char* cmd : {"analyze", "live", "serve"}) {
+    SCOPED_TRACE(cmd);
+    for (const char* step : {"0", "-0.5", "0.0000001", "inf", "-1e300"}) {
+      EXPECT_EQ(DryRun({cmd, "/tmp/ds", "--step", step}), 2) << step;
+    }
+    EXPECT_EQ(DryRun({cmd, "/tmp/ds", "--window", "-5"}), 2);
+    EXPECT_EQ(DryRun({cmd, "/tmp/ds", "--window=0"}), 2);
+  }
+  // lint's --window goes through the same spec; --format is an enum.
+  EXPECT_EQ(DryRun({"lint", "c.domino", "--window", "inf"}), 2);
+  EXPECT_EQ(DryRun({"lint", "c.domino", "--window", "1e999"}), 2);
+  EXPECT_EQ(DryRun({"lint", "c.domino", "--window", "0"}), 2);
+  EXPECT_EQ(DryRun({"lint", "c.domino", "--format", "xml"}), 2);
+  EXPECT_EQ(DryRun({"convert", "/tmp/a", "/tmp/b", "--to", "bin|csv"}), 2);
+  EXPECT_EQ(DryRun({"serve", "/tmp/ds", "--isolate", "fiber"}), 2);
+  // live's --chaos-disk spec is checked before a dry run returns.
+  EXPECT_EQ(DryRun({"live", "/tmp/ds", "--chaos-disk", "enospc:0"}), 2);
 }
 
 TEST(CliStrictFlagsTest, ValidCommandLinesDryRunClean) {
@@ -277,6 +300,20 @@ TEST(CliStrictFlagsTest, ValidCommandLinesDryRunClean) {
             0);
   EXPECT_EQ(DryRun({"lint", "whatever.domino", "--strict"}), 0);
   EXPECT_EQ(DryRun({"codegen", "whatever.domino"}), 0);
+  // Flags go anywhere, in either spelling; a value may start with '-'.
+  EXPECT_EQ(DryRun({"live", "--step=0.25", "/tmp/a", "--window", "2",
+                    "/tmp/b", "--naive", "--max-backlog", "3"}),
+            0);
+  EXPECT_EQ(DryRun({"serve", "/tmp/ds", "--window", "5.123456789",
+                    "--isolate=process", "--checkpoint-every", "1"}),
+            0);
+  EXPECT_EQ(DryRun({"lint", "--format=json", "c.domino", "--window", "2"}),
+            0);
+  EXPECT_EQ(DryRun({"replay", "/tmp/ds", "/tmp/out", "--stall",
+                    "gnb=-1"}),
+            0);
+  EXPECT_EQ(DryRun({"codegen", "c.domino", "-o", "out.py"}), 0);
+  EXPECT_EQ(DryRun({"--lint", "c.domino", "--no-verify"}), 0);
 }
 
 TEST(CliStrictFlagsTest, UsageErrorsStayUsageErrors) {
@@ -286,6 +323,65 @@ TEST(CliStrictFlagsTest, UsageErrorsStayUsageErrors) {
   EXPECT_EQ(DryRun({"live"}), 2);
   // Trailing flag with no value is not silently swallowed.
   EXPECT_EQ(DryRun({"analyze", "/tmp/ds", "--window"}), 2);
+  EXPECT_EQ(DryRun({"live", "/tmp/ds", "--state"}), 2);
+  // A typo'd flag used to run as two more sessions ("--windw", "10");
+  // `serve --help` ran a session named --help.
+  for (const char* cmd : {"live", "serve", "analyze", "lint"}) {
+    SCOPED_TRACE(cmd);
+    EXPECT_EQ(DryRun({cmd, "/tmp/x", "--windw", "10"}), 2);
+    EXPECT_EQ(DryRun({cmd, "/tmp/x", "--windw=10"}), 2);
+    EXPECT_EQ(DryRun({cmd, "/tmp/x", "--window", "5", "--window=6"}), 2);
+    EXPECT_EQ(DryRun({cmd, "/tmp/x", "--help"}), 2);
+  }
+  EXPECT_EQ(DryRun({"serve", "--help"}), 2);
+  EXPECT_EQ(DryRun({"live", "/tmp/ds", "--naive", "--naive"}), 2);
+  EXPECT_EQ(DryRun({"live", "/tmp/ds", "--naive=1"}), 2);
+  EXPECT_EQ(DryRun({"simulate", "wired", "5", "/tmp/out", "-x"}), 2);
+  EXPECT_EQ(DryRun({"convert", "/tmp/a", "/tmp/b", "/tmp/c"}), 2);
+}
+
+/// Every flag-looking token ("--x" or "-x") per `domino <cmd>` section of
+/// `domino --help`.
+std::map<std::string, std::set<std::string>> FlagsInHelp() {
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(cli::DominoMain({"--help"}), 0);
+  std::istringstream help(testing::internal::GetCapturedStdout());
+  const std::regex flag("(^|[\\s(`])(-{1,2}[a-z][a-z0-9-]*)");
+  std::map<std::string, std::set<std::string>> listed;
+  std::string cmd;
+  for (std::string line; std::getline(help, line);) {
+    if (line.rfind("  domino ", 0) == 0) {
+      cmd = line.substr(9, line.find(' ', 9) - 9);
+      continue;
+    }
+    for (std::sregex_iterator it(line.begin(), line.end(), flag), end;
+         it != end; ++it) {
+      listed[cmd].insert((*it)[2]);
+    }
+  }
+  return listed;
+}
+
+TEST(CliStrictFlagsTest, HelpListsExactlyTheFlagsTheParserAccepts) {
+  const auto listed = FlagsInHelp();
+  const auto table = cli::FlagTable();
+  ASSERT_EQ(table.size(), 10u);
+  for (const auto& [cmd, flags] : table) {
+    SCOPED_TRACE(cmd);
+    const std::set<std::string> accepted(flags.begin(), flags.end());
+    EXPECT_EQ(accepted.size(), flags.size()) << "a flag is declared twice";
+    ASSERT_TRUE(listed.count(cmd)) << "no help section";
+    EXPECT_EQ(listed.at(cmd), accepted);
+    // The parser knows each one: whatever `--flag=1` does (a switch
+    // refuses the value), it is not rejected as an unknown flag.
+    for (const std::string& f : flags) {
+      testing::internal::CaptureStderr();
+      DryRun({cmd, f + "=1"});
+      EXPECT_EQ(testing::internal::GetCapturedStderr().find("unknown flag"),
+                std::string::npos)
+          << f;
+    }
+  }
 }
 
 }  // namespace

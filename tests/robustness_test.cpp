@@ -1994,6 +1994,26 @@ TEST(ServeDaemonCliTest, ExitCodesDistinguishDegradations) {
   EXPECT_EQ(RunShell(serve + FleetDatasetDir() + " --isolate carrier"), 2);
 }
 
+TEST(ServeDaemonCliTest, ProcessChildrenGetTheOperatorsExactFlagValues) {
+  // Both isolation modes must analyse the window the operator typed. A
+  // process child that got the value re-formatted (6 significant digits:
+  // 5.12346) would checkpoint w=5123460 where a thread session has
+  // w=5123456. The failing attempt keeps its checkpoint for inspection.
+  const std::string scratch = FleetTempDir("daemon_verbatim_flags");
+  for (const char* iso : {"thread", "process"}) {
+    SCOPED_TRACE(iso);
+    const std::string root = scratch + "/" + iso;
+    EXPECT_EQ(RunShell(std::string(DOMINO_BINARY) + " serve " +
+                       FleetDatasetDir() + " --isolate " + iso +
+                       " --max-attempts 1 --chaos 0:fail:1" +
+                       " --checkpoint-every 1 --window 5.123456789" +
+                       " --state-root " + root + " --quiet"),
+              4);
+    const std::string ckpt = FleetSlurp(root + "/s0/live.ckpt");
+    EXPECT_NE(ckpt.find(" w=5123456 "), std::string::npos) << ckpt;
+  }
+}
+
 #if !defined(_WIN32)
 TEST(ServeDaemonCliTest, WatchAdmitsLateSessionsAndSurvivesSighup) {
   const std::string scratch = FleetTempDir("daemon_watch");

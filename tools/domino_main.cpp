@@ -1,98 +1,27 @@
 // domino — the command-line tool an operator or researcher runs.
 //
-//   domino simulate <cell> <seconds> <out_dir> [--seed N]
-//       Generate a cross-layer dataset by simulating a two-party call over
-//       one of the modelled cells (tmobile-fdd15, tmobile-tdd100, amarisoft,
-//       mosolabs, wired).
-//
-//   domino ingest <dataset_dir> [--repair] [--out DIR]
-//                 [--inject k=v,... --seed N]
-//                 [--reorder-window SEC] [--gap-threshold SEC]
-//       Tolerantly load a dataset, sanitize every stream (dedupe, bounded
-//       reorder, range check, gap/coverage detection, clock-skew estimate)
-//       and print the per-stream health report. --repair also corrects the
-//       estimated skew and writes the cleaned dataset back (to --out, or in
-//       place). --inject first corrupts the dataset with the deterministic
-//       fault injector (keys: drop dup reorder reorder-span-ms corrupt
-//       truncate gap-s gap-at skew-ms drift-ppm), for building robustness
-//       test fixtures. Exit code 1 when any stream is degraded.
-//
-//   domino analyze <dataset_dir> [--config FILE] [--window SEC]
-//                  [--step SEC] [--chains-csv FILE] [--features-csv FILE]
-//                  [--offset-correct] [--min-coverage X]
-//                  [--json-report FILE] [--no-sanitize]
-//       Run the causal-chain analysis over a saved dataset and print the
-//       summary report. --config extends the default Fig. 9 graph with
-//       user-defined events/chains (see docs in config_parser.h). Datasets
-//       are sanitized on load by default; chains whose required streams
-//       cover less than --min-coverage of a window are reported as
-//       "insufficient evidence" instead of asserted as root causes.
-//
-//   domino convert <in_dir> <out_dir> [--to bin|csv]
-//       Re-encode a dataset between the CSV bundle and the binary fast
-//       path (telemetry.dtb, see telemetry/binfmt.h). The input format is
-//       auto-detected (a .dtb in <in_dir> wins); --to picks the output
-//       (default bin). Analysis results are identical either way — the
-//       binary image just loads without text parsing, via mmap.
-//
-//   domino codegen <config_file> [-o FILE]
-//       Generate the standalone Python detector module for a configuration
-//       (Fig. 11); writes to stdout by default.
-//
-//   domino lint <config_file> [--strict] [--format json] [--no-default-graph]
-//               [--no-verify] [--window SEC]
-//       Statically analyse a config with domino-lint: reports every problem
-//       in one run (compiler-style, with source excerpts and fix-its), or as
-//       a stable JSON document for CI. Includes the domino-verify semantic
-//       pass (DL401-DL407: satisfiability, units, ranges, shadowed chains,
-//       stream declarations, window budgets) unless --no-verify; --window
-//       sets the analysis window the DL407 sample budgets assume. Exit code
-//       is the highest severity found (0 clean, 1 warnings, 2 errors);
-//       --strict promotes warnings to errors. "domino --lint <file>" is an
-//       alias.
-//   domino live <dataset_dir>... [--state DIR] [--follow] [--naive]
-//               [--chunk-s SEC] [--horizon-s SEC] [--stall-deadline-s SEC]
-//               [--max-backlog N] [--checkpoint-every N] [--sequential]
-//       Crash-safe supervised live analysis: tail one or more (possibly
-//       still growing) dataset directories, emit chains to
-//       <state>/chains.jsonl as their windows complete, checkpoint
-//       periodically, and resume byte-identically after a kill. Multiple
-//       directories run as isolated sessions (thread each); a poisoned one
-//       fails alone. Exit code 1 when any session failed.
-//
-//   domino serve <dir | tenant=dir>... [--workers N] [--max-attempts N]
-//                [--backoff-ms N] [--global-backlog N]
-//                [--session-deadline-s SEC] [--isolate thread|process]
-//                [--state-root DIR] [--report FILE] [--chaos idx:kind:N,...]
-//       Fleet mode: run every dataset as an isolated fault domain over a
-//       bounded worker pool, retrying failed sessions from their last good
-//       checkpoint with capped exponential backoff and quarantining them
-//       after the attempt budget. --isolate process forks one child per
-//       attempt so even a SIGSEGV/SIGKILL is recorded and retried without
-//       taking down the fleet. Prints the text FleetReport; --report also
-//       writes the deterministic JSON one. Exit 1 when any session failed.
-//
-//   domino replay <dataset_dir> <out_dir> [--interval-ms N] [--chunk-ms N]
-//                 [--stall stream=SEC]
-//       Replay a saved dataset into <out_dir> as a growing capture (meta
-//       first, then stream rows in virtual-time order) for feeding
-//       `domino live --follow`. --stall freezes one stream at a given
-//       session time, for watchdog testing.
-//
-// Flag values are parsed with the strict layer in common/parse.h: any
-// malformed or out-of-range number (`--threads=abc`, `--seed 1e999`) is a
-// usage error (exit 2) with a one-line diagnostic, never an exception.
+// `domino --help` lists every subcommand, operand and flag. It is generated
+// from the flag table below, which is also the only parser: each option is
+// declared once (shared ones in the analysis/session/run groups) with its
+// value kind, bounds, the option field it writes and a one-line help.
+// Values go through the strict layer in common/parse.h, so a malformed or
+// out-of-range value (`--threads=abc`, `--seed 1e999`), an unknown or
+// repeated flag, or a flag missing its value is a usage error (exit 2) with
+// a one-line diagnostic, never an exception.
 #include "domino_main.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <climits>
+#include <cstdarg>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <iostream>
+#include <iterator>
 #include <optional>
+#include <ranges>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -130,106 +59,271 @@ namespace {
 
 using namespace domino;
 
-void PrintUsage(std::FILE* to) {
-  std::fprintf(to,
-               "usage:\n"
-               "  domino simulate <cell> <seconds> <out_dir> [--seed N]\n"
-               "  domino ingest <dataset_dir> [--repair] [--out DIR]\n"
-               "                [--inject k=v,... --seed N]"
-               " [--reorder-window SEC]\n"
-               "                [--gap-threshold SEC]\n"
-               "  domino analyze <dataset_dir> [--config FILE]"
-               " [--window SEC] [--step SEC]\n"
-               "                 [--chains-csv FILE] [--features-csv FILE]"
-               " [--offset-correct]\n"
-               "                 [--strict-lint | --no-lint]"
-               " [--min-coverage X]\n"
-               "                 [--json-report FILE] [--no-sanitize]\n"
-               "  domino live <dataset_dir>... [--state DIR] [--follow]"
-               " [--naive] [--quiet]\n"
-               "              [--window SEC] [--step SEC] [--min-coverage X]"
-               " [--threads N]\n"
-               "              [--chunk-s SEC] [--horizon-s SEC]"
-               " [--stall-deadline-s SEC]\n"
-               "              [--max-backlog N] [--checkpoint-every N]"
-               " [--max-idle N]\n"
-               "              [--sequential] [--crash-after N]\n"
-               "  domino serve <dir | tenant=dir>... [--workers N]"
-               " [--max-attempts N]\n"
-               "              [--backoff-ms N] [--backoff-cap-ms N]"
-               " [--global-backlog N]\n"
-               "              [--session-deadline-s SEC]"
-               " [--isolate thread|process]\n"
-               "              [--state-root DIR] [--report FILE]"
-               " [--chaos idx:kind:N,...]\n"
-               "              [--tenant-backlog t=N]"
-               " [--tenant-max-records t=N]\n"
-               "              [--window SEC] [--step SEC] [--chunk-s SEC]"
-               " [--max-backlog N]\n"
-               "              [--watch] [--exit-when-idle]"
-               " [--scan-interval-ms N]\n"
-               "              [--manifest FILE] [--status-file FILE]"
-               " [--status-interval-ms N]\n"
-               "              [--tunables FILE] [--drain-grace-ms N]\n"
-               "              [--owner ID] [--lease-ttl-ms N]"
-               " [--heartbeat-ms N]\n"
-               "    With --watch the operands are *roots*: subdirectories"
-               " are admitted as\n"
-               "    sessions once their meta.csv parses. SIGTERM/SIGINT"
-               " drain gracefully\n"
-               "    (checkpoint + manifest, exit 0); SIGHUP re-scans roots"
-               " and reloads\n"
-               "    --tunables. Chaos kinds: crash fail wedge disk-enospc"
-               " disk-eio\n"
-               "    disk-short disk-rename disk-fsync.\n"
-               "    With --owner, N daemons on N boxes sharing one"
-               " --state-root run ONE\n"
-               "    fleet: sessions are claimed via fencing-token leases,"
-               " heartbeats\n"
-               "    renewed every --heartbeat-ms (default ttl/4), and a"
-               " box whose\n"
-               "    heartbeat goes staler than --lease-ttl-ms has its"
-               " sessions stolen\n"
-               "    and resumed from their shared checkpoints. A session"
-               " whose lease\n"
-               "    was stolen mid-run ends 'fenced' (not a failure; the"
-               " thief owns it).\n"
-               "    serve exit codes: 0 all sessions completed (or clean"
-               " drain), 2 usage\n"
-               "    error, 3 completed but windows were shed (degraded), 4"
-               " some session\n"
-               "    failed or was quarantined. (`domino live` exits 76"
-               " when fenced.)\n"
-               "  domino fleet-status <state_root> [--owners] [--out FILE]\n"
-               "    Merge every box's manifest + done markers under a"
-               " shared state root\n"
-               "    into one deterministic JSON fleet view (exit 0 all"
-               " terminal, 3 some\n"
-               "    open, 4 some quarantined). --owners adds per-box"
-               " attribution.\n"
-               "  domino replay <dataset_dir> <out_dir> [--interval-ms N]"
-               " [--chunk-ms N]\n"
-               "               [--stall stream=SEC]\n"
-               "  domino convert <in_dir> <out_dir> [--to bin|csv]\n"
-               "  domino codegen <config_file> [-o FILE]\n"
-               "  domino lint <config_file> [--strict] [--format json]"
-               " [--no-default-graph]\n"
-               "              [--no-verify] [--window SEC]\n"
-               "  domino --help | --version\n"
-               "cells: tmobile-fdd15 tmobile-tdd100 amarisoft mosolabs"
-               " wired\n");
+// --- The flag table ---------------------------------------------------------
+
+enum class Kind {
+  kSwitch,  ///< No value.
+  kText,    ///< Any string; commands parse structured specs themselves.
+  kNumber,  ///< Finite double.
+  kPeriod,  ///< Finite seconds that convert to at least 1 us.
+  kInt,     ///< Integer in [lo, hi].
+  kUint,    ///< Unsigned 64-bit integer.
+  kChoice,  ///< One of the '|'-separated words in `meta`.
+  kName,    ///< Letters, digits, '.', '_' and '-' (lands in file names).
+};
+
+/// A parsed flag value; only the members of the flag's kind are set.
+struct Value {
+  std::string text;
+  double num = 0;
+  Duration dur;  ///< Seconds(num), for kNumber and kPeriod.
+  std::int64_t i = 0;
+  std::uint64_t u = 0;
+};
+
+struct Cli;
+using Setter = void (*)(Cli&, const Value&);
+
+struct Flag {
+  const char* name;
+  Kind kind;
+  const char* meta;  ///< Value placeholder in --help.
+  const char* help;  ///< nullptr: internal plumbing (one shared help line).
+  Setter set = nullptr;                 ///< Field it writes, if any.
+  std::int64_t lo = 0, hi = INT64_MAX;  ///< kInt bounds.
+};
+
+/// Everything one command line sets. Flags with a setter write straight
+/// into these option structs; the rest are read back by name.
+struct Cli {
+  runtime::LiveOptions live;  ///< live.detector is also analyze's config.
+  runtime::FleetOptions fleet;
+  runtime::ServeDaemonOptions daemon;
+  telemetry::SanitizeOptions sanitize;
+  sim::LiveFeedOptions feed;
+  analysis::lint::LintOptions lint;
+  std::uint64_t seed = 1;
+  std::vector<std::string> operands;
+
+  struct Given {
+    const Flag* flag;
+    Value value;
+    std::vector<std::string> tokens;  ///< Exactly as the operator typed them.
+  };
+  std::vector<Given> given;  ///< In command-line order.
+
+  const Value* Get(std::string_view name) const {
+    for (const Given& g : given) {
+      if (name == g.flag->name) return &g.value;
+    }
+    return nullptr;
+  }
+  bool Has(std::string_view name) const { return Get(name) != nullptr; }
+  std::optional<std::string> Text(std::string_view name) const {
+    const Value* v = Get(name);
+    return v ? std::optional<std::string>(v->text) : std::nullopt;
+  }
+};
+
+#define SETS(stmt) [](Cli& c, [[maybe_unused]] const Value& v) { c.stmt; }
+
+constexpr std::int64_t kHourMs = 3'600'000;
+constexpr std::int64_t kMax = INT64_MAX;
+
+constexpr Flag Switch(const char* name, const char* help, Setter set = {}) {
+  return {name, Kind::kSwitch, "", help, set};
+}
+constexpr Flag Text(const char* name, const char* meta, const char* help,
+                    Setter set = {}) {
+  return {name, Kind::kText, meta, help, set};
+}
+constexpr Flag Sec(const char* name, const char* help, Setter set = {}) {
+  return {name, Kind::kNumber, "SEC", help, set};
+}
+constexpr Flag Period(const char* name, const char* help, Setter set = {}) {
+  return {name, Kind::kPeriod, "SEC", help, set};
+}
+constexpr Flag Int(const char* name, std::int64_t lo, std::int64_t hi,
+                   const char* help, Setter set = {}) {
+  return {name, Kind::kInt, "N", help, set, lo, hi};
 }
 
-int Usage() {
-  PrintUsage(stderr);
+// Shared by analyze, live and serve (lint takes --window only). Serve
+// forwards the ones the operator set to process-isolation children.
+constexpr Flag kAnalysisFlags[] = {
+    Period("--window", "window length [5]", SETS(live.detector.window = v.dur)),
+    Period("--step", "window slide [0.5]", SETS(live.detector.step = v.dur)),
+    {"--min-coverage", Kind::kNumber, "X", "coverage a chain needs [0.5]",
+     SETS(live.detector.min_coverage = v.num)},
+};
+
+// Shared by live and serve; also forwarded to serve's process children.
+constexpr Flag kSessionFlags[] = {
+    Sec("--chunk-s", "data per poll [2]", SETS(live.chunk = v.dur)),
+    Sec("--horizon-s", "history kept [30]", SETS(live.horizon = v.dur)),
+    Sec("--stall-deadline-s", "silence that marks a stall [5]",
+        SETS(live.stall_deadline = v.dur)),
+    Int("--checkpoint-every", 0, kMax, "checkpoint every N windows [8]",
+        SETS(live.checkpoint_every_windows = v.i)),
+    Int("--max-idle", 0, INT_MAX, "empty polls before a session ends [16]",
+        SETS(live.max_idle_polls = v.i)),
+    Switch("--naive", "naive detection engine (parity checks)",
+           SETS(live.detector.incremental = false)),
+};
+
+// Shared by live and serve, not forwarded: the fleet passes its own.
+constexpr Flag kRunFlags[] = {
+    Int("--max-backlog", 0, kMax, "shed windows past N pending (0 = off)",
+        SETS(live.max_backlog_windows = v.i)),
+    Switch("--quiet", "no per-poll progress", SETS(live.quiet = true)),
+};
+
+constexpr Flag kSeedFlags[] = {
+    {"--seed", Kind::kUint, "N", "random seed [1]", SETS(seed = v.u)},
+};
+
+constexpr Flag kIngestFlags[] = {
+    Switch("--repair", "correct clock skew, write the cleaned dataset",
+           SETS(sanitize.correct_skew = true)),
+    Text("--out", "DIR", "write the result here [in place]"),
+    Text("--inject", "k=v,...", "corrupt the dataset first (keys below)"),
+    Sec("--reorder-window", "bounded-reorder window [1]",
+        SETS(sanitize.reorder_window = v.dur)),
+    Sec("--gap-threshold", "silence reported as a gap [1]",
+        SETS(sanitize.gap_threshold = v.dur)),
+};
+
+constexpr Flag kAnalyzeFlags[] = {
+    Text("--config", "FILE", "extend the default graph (config_parser.h)"),
+    Text("--chains-csv", "FILE", "write chain instances"),
+    Text("--features-csv", "FILE", "write per-window feature vectors"),
+    Text("--json-report", "FILE", "write the JSON report"),
+    Switch("--offset-correct", "estimate and remove the remote clock offset"),
+    Switch("--strict-lint", "config lint warnings block the run"),
+    Switch("--no-lint", "skip config lint (first parse error wins)"),
+    Switch("--no-sanitize", "analyse the dataset as loaded"),
+};
+
+constexpr Flag kLiveFlags[] = {
+    Text("--state", "DIR", "state dir [<dataset>/live_state]"),
+    Switch("--follow", "tail a growing capture", SETS(live.follow = true)),
+    Switch("--sequential", "run several datasets one at a time"),
+    Int("--threads", 0, 4096, "detector threads (0 = all cores)",
+        SETS(live.detector.threads = v.i)),
+    Int("--crash-after", 0, kMax, "_Exit(137) after the Nth checkpoint",
+        SETS(live.crash_after_checkpoints = v.i)),
+    // Plumbing for tests and serve's process children (fleet.cpp).
+    Int("--poll-sleep-ms", 0, kHourMs, nullptr, SETS(live.poll_sleep_ms = v.i)),
+    Int("--max-records", 1, kMax, nullptr, SETS(live.input.max_records = v.i)),
+    Int("--chaos-crash", 0, kMax, nullptr, SETS(live.chaos_crash_after = v.i)),
+    Int("--chaos-fail", 0, kMax, nullptr, SETS(live.chaos_fail_after = v.i)),
+    Int("--chaos-wedge", 0, kMax, nullptr, SETS(live.chaos_wedge_after = v.i)),
+    Text("--chaos-disk", "KIND:N", nullptr),
+    Text("--fence-lease", "DIR", nullptr, SETS(live.fence_lease_dir = v.text)),
+    {"--fence-token", Kind::kUint, "N", nullptr, SETS(live.fence_token = v.u)},
+};
+
+constexpr Flag kServeFlags[] = {
+    Int("--workers", 0, 4096, "worker pool size (0 = auto)",
+        SETS(fleet.workers = v.i)),
+    Int("--max-attempts", 1, 1000, "attempts before quarantine [3]",
+        SETS(fleet.max_attempts = v.i)),
+    Int("--backoff-ms", 0, kHourMs, "first retry backoff [200]",
+        SETS(fleet.backoff_ms = v.i)),
+    Int("--backoff-cap-ms", 0, kHourMs, "backoff cap [5000]",
+        SETS(fleet.backoff_cap_ms = v.i)),
+    Int("--global-backlog", 0, kMax, "fleet-wide backlog cap (0 = off)",
+        SETS(fleet.global_backlog_windows = v.i)),
+    Sec("--session-deadline-s", "attempt deadline (0 = none)",
+        SETS(fleet.session_deadline_s = v.num)),
+    {"--isolate", Kind::kChoice, "thread|process", "fault domain per attempt",
+     SETS(fleet.isolate = v.text == "process"
+                              ? runtime::IsolationMode::kProcess
+                              : runtime::IsolationMode::kThread)},
+    Text("--exec", "FILE", "binary for process children [this binary]",
+         SETS(fleet.exec_path = v.text)),
+    Text("--state-root", "DIR", "session i keeps its state in DIR/s<i>",
+         SETS(daemon.state_root = v.text)),
+    Text("--report", "FILE", "also write the JSON fleet report"),
+    Text("--chaos", "idx:kind:N,...", "inject faults (kinds below)"),
+    Text("--tenant-backlog", "t=N,...", "per-tenant backlog caps"),
+    Text("--tenant-max-records", "t=N,...", "per-tenant record caps"),
+    Switch("--watch", "operands are roots", SETS(daemon.watch = true)),
+    Switch("--exit-when-idle", "watch: exit once every session is terminal",
+           SETS(daemon.exit_when_idle = true)),
+    Int("--scan-interval-ms", 1, kHourMs, "watch re-scan period [500]",
+        SETS(daemon.scan_interval_ms = v.i)),
+    Text("--manifest", "FILE", "drain/resume ledger",
+         SETS(daemon.manifest_path = v.text)),
+    Text("--status-file", "FILE", "liveness JSON, rewritten periodically",
+         SETS(daemon.status_path = v.text)),
+    Int("--status-interval-ms", 1, kHourMs, "status period [1000]",
+        SETS(daemon.status_interval_ms = v.i)),
+    Text("--tunables", "FILE", "settings reloaded on SIGHUP",
+         SETS(daemon.tunables_path = v.text)),
+    Int("--drain-grace-ms", 0, kHourMs, "SIGTERM drain grace [5000]",
+        SETS(daemon.drain_grace_ms = v.i)),
+    {"--owner", Kind::kName, "ID", "this box's id in a sharded fleet",
+     SETS(daemon.owner = v.text)},
+    Int("--lease-ttl-ms", 1, kHourMs, "heartbeat age of a dead box [15000]",
+        SETS(daemon.lease_ttl_ms = v.i)),
+    Int("--heartbeat-ms", 1, kHourMs, "lease renewal period [ttl/4]",
+        SETS(daemon.heartbeat_ms = v.i)),
+};
+
+constexpr Flag kReplayFlags[] = {
+    Int("--interval-ms", 0, kHourMs, "sleep between chunks (0 = all at once)"),
+    Int("--chunk-ms", 1, kMax / 1000, "virtual time per chunk [500]",
+        SETS(feed.chunk = Millis(v.i))),
+    Text("--stall", "stream=SEC", "withhold one stream from SEC on"),
+};
+
+constexpr Flag kFleetStatusFlags[] = {
+    Switch("--owners", "add per-box attribution"),
+    Text("--out", "FILE", "write the JSON here instead of stdout"),
+};
+
+constexpr Flag kConvertFlags[] = {
+    {"--to", Kind::kChoice, "bin|csv", "output format [bin]"},
+};
+
+constexpr Flag kCodegenFlags[] = {
+    Text("-o", "FILE", "write here instead of stdout"),
+};
+
+constexpr Flag kLintFlags[] = {
+    Switch("--strict", "warnings count as errors"),
+    {"--format", Kind::kChoice, "text|json", "report format [text]"},
+    Switch("--no-default-graph", "lint the config stand-alone",
+           SETS(lint.use_default_graph = false)),
+    Switch("--no-verify", "skip DL401-DL407", SETS(lint.verify = false)),
+};
+
+#undef SETS
+
+bool Declares(std::span<const Flag> group, const Flag* f) {
+  for (const Flag& g : group) {
+    if (&g == f) return true;
+  }
+  return false;
+}
+
+// --- Shared helpers ---------------------------------------------------------
+
+/// A usage failure: one printf-style diagnostic line on stderr, exit code 2.
+[[gnu::format(printf, 1, 2)]] int Refuse(const char* fmt, ...) {
+  std::va_list args;
+  va_start(args, fmt);
+  std::vfprintf(stderr, fmt, args);
+  va_end(args);
+  std::fputc('\n', stderr);
   return 2;
 }
 
 /// The canonical strict-flag failure: one-line diagnostic, exit code 2.
 int BadFlag(const char* flag, const std::string& value, const char* want) {
-  std::fprintf(stderr, "domino: invalid value '%s' for %s (want %s)\n",
-               value.c_str(), flag, want);
-  return 2;
+  return Refuse("domino: invalid value '%s' for %s (want %s)", value.c_str(),
+                flag, want);
 }
 
 std::optional<sim::CellProfile> CellByName(const std::string& name) {
@@ -241,101 +335,52 @@ std::optional<sim::CellProfile> CellByName(const std::string& name) {
   return std::nullopt;
 }
 
-/// Returns the value of `--flag value` or `--flag=value` if present,
-/// removing the consumed tokens. A trailing `--flag` with no value is left
-/// in place so the operand-count check reports it as a usage error.
-std::optional<std::string> TakeFlag(std::vector<std::string>& args,
-                                    const std::string& flag) {
-  const std::string prefixed = flag + "=";
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == flag && i + 1 < args.size()) {
-      std::string value = args[i + 1];
-      args.erase(args.begin() + static_cast<long>(i),
-                 args.begin() + static_cast<long>(i) + 2);
-      return value;
-    }
-    if (args[i].compare(0, prefixed.size(), prefixed) == 0) {
-      std::string value = args[i].substr(prefixed.size());
-      args.erase(args.begin() + static_cast<long>(i));
-      return value;
-    }
-  }
-  return std::nullopt;
-}
-
-// Strict numeric TakeFlag wrappers. Absent flags leave *out empty and
-// return 0; malformed values print the BadFlag diagnostic and return 2
-// (the command forwards it: `if (int rc = TakeD(...)) return rc;`).
-
-int TakeD(std::vector<std::string>& args, const char* flag,
-          std::optional<double>* out) {
-  auto s = TakeFlag(args, flag);
-  if (!s) return 0;
-  double v = 0;
-  if (!ParseFinite(*s, v)) return BadFlag(flag, *s, "a finite number");
-  *out = v;
-  return 0;
-}
-
-int TakeI(std::vector<std::string>& args, const char* flag, std::int64_t lo,
-          std::int64_t hi, std::optional<std::int64_t>* out) {
-  auto s = TakeFlag(args, flag);
-  if (!s) return 0;
-  std::int64_t v = 0;
-  if (!ParseInt64In(*s, lo, hi, v)) {
-    const std::string want = "an integer in [" + std::to_string(lo) + ", " +
-                             std::to_string(hi) + "]";
-    return BadFlag(flag, *s, want.c_str());
-  }
-  *out = v;
-  return 0;
-}
-
-int TakeU64(std::vector<std::string>& args, const char* flag,
-            std::optional<std::uint64_t>* out) {
-  auto s = TakeFlag(args, flag);
-  if (!s) return 0;
-  std::uint64_t v = 0;
-  if (!ParseUint64(*s, v)) {
-    return BadFlag(flag, *s, "an unsigned integer");
-  }
-  *out = v;
-  return 0;
-}
-
-int CmdSimulate(std::vector<std::string> args, const MainOptions& mo) {
-  std::optional<std::uint64_t> seed_f;
-  if (int rc = TakeU64(args, "--seed", &seed_f)) return rc;
-  if (args.size() != 3) return Usage();
-
+int CmdSimulate(Cli& c, const MainOptions& mo) {
+  const auto& args = c.operands;
   auto profile = CellByName(args[0]);
-  if (!profile.has_value()) {
-    std::fprintf(stderr, "unknown cell '%s'\n", args[0].c_str());
-    return 2;
-  }
+  if (!profile.has_value()) return Refuse("unknown cell '%s'", args[0].c_str());
   double seconds = 0;
   if (!ParseFinite(args[1], seconds) || seconds < 0) {
     return BadFlag("<seconds>", args[1], "a non-negative finite number");
   }
   const std::string& out_dir = args[2];
-  const std::uint64_t seed = seed_f.value_or(1);
   if (mo.dry_run) return 0;
 
   std::printf("simulating %.0f s over '%s' (seed %llu)...\n", seconds,
-              profile->name.c_str(),
-              static_cast<unsigned long long>(seed));
+              profile->name.c_str(), static_cast<unsigned long long>(c.seed));
   sim::SessionConfig cfg;
   cfg.profile = *profile;
   cfg.duration = Seconds(seconds);
-  cfg.seed = seed;
-  sim::CallSession session(cfg);
-  telemetry::SessionDataset ds = session.Run();
+  cfg.seed = c.seed;
+  telemetry::SessionDataset ds = sim::CallSession(cfg).Run();
   telemetry::SaveDataset(ds, out_dir);
   std::printf("wrote %zu DCIs, %zu packets, %zu gNB log rows, %zu+%zu stats "
-              "rows to %s/\n",
-              ds.dci.size(), ds.packets.size(), ds.gnb_log.size(),
-              ds.stats[0].size(), ds.stats[1].size(), out_dir.c_str());
+              "rows to %s/\n", ds.dci.size(), ds.packets.size(),
+              ds.gnb_log.size(), ds.stats[0].size(), ds.stats[1].size(),
+              out_dir.c_str());
   return 0;
+}
+
+/// The non-empty items of a comma-separated list.
+std::vector<std::string> SplitList(const std::string& list) {
+  std::vector<std::string> items;
+  std::stringstream ss(list);
+  for (std::string item; std::getline(ss, item, ',');) {
+    if (!item.empty()) items.push_back(item);
+  }
+  return items;
+}
+
+/// Writes `text` to `path`; false (with a message on stderr) on failure.
+bool WriteOrComplain(const char* who, const std::string& path,
+                     const std::string& text) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  if (!f) {
+    std::fprintf(stderr, "%s: cannot write %s\n", who, path.c_str());
+    return false;
+  }
+  f << text;
+  return true;
 }
 
 /// Reads a whole file; nullopt (with a message on stderr) when unreadable.
@@ -345,62 +390,29 @@ std::optional<std::string> ReadFileOrComplain(const std::string& path) {
     std::fprintf(stderr, "cannot open config '%s'\n", path.c_str());
     return std::nullopt;
   }
-  std::stringstream buf;
-  buf << f.rdbuf();
-  return buf.str();
+  return std::string(std::istreambuf_iterator<char>(f), {});
 }
 
-int CmdLint(std::vector<std::string> args, const MainOptions& mo) {
-  bool strict = false;
-  bool json = false;
-  bool no_default_graph = false;
-  bool no_verify = false;
-  double window_s = 0;
-  if (auto fmt = TakeFlag(args, "--format")) json = (*fmt == "json");
-  if (auto win = TakeFlag(args, "--window")) {
-    char* rest = nullptr;
-    window_s = std::strtod(win->c_str(), &rest);
-    if (rest == win->c_str() || *rest != '\0' || window_s <= 0) {
-      std::fprintf(stderr, "bad --window '%s' (want seconds > 0)\n",
-                   win->c_str());
-      return 2;
-    }
-  }
-  for (auto it = args.begin(); it != args.end();) {
-    if (*it == "--strict") {
-      strict = true;
-      it = args.erase(it);
-    } else if (*it == "--no-default-graph") {
-      no_default_graph = true;
-      it = args.erase(it);
-    } else if (*it == "--no-verify") {
-      no_verify = true;
-      it = args.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (args.size() != 1) return Usage();
+int CmdLint(Cli& c, const MainOptions& mo) {
+  const std::string& path = c.operands[0];
   if (mo.dry_run) return 0;
-  auto text = ReadFileOrComplain(args[0]);
+  auto text = ReadFileOrComplain(path);
   if (!text.has_value()) return 2;
 
-  analysis::lint::LintOptions opts;
-  opts.use_default_graph = !no_default_graph;
-  opts.verify = !no_verify;
-  if (window_s > 0) opts.verify_options.window_ms = window_s * 1000.0;
-  analysis::lint::LintResult res =
-      analysis::lint::LintConfigText(*text, opts);
-  if (strict) analysis::lint::PromoteWarnings(res.sink);
+  if (c.Has("--window")) {
+    c.lint.verify_options.window_ms = c.live.detector.window.millis();
+  }
+  auto res = analysis::lint::LintConfigText(*text, c.lint);
+  if (c.Has("--strict")) analysis::lint::PromoteWarnings(res.sink);
 
-  if (json) {
+  if (c.Text("--format") == "json") {
     std::fputs(analysis::lint::FormatDiagnosticsJson(res.sink).c_str(),
                stdout);
   } else if (res.sink.empty()) {
-    std::printf("%s: no issues\n", args[0].c_str());
+    std::printf("%s: no issues\n", path.c_str());
   } else {
     std::fputs(
-        analysis::lint::RenderDiagnostics(res.sink, *text, args[0]).c_str(),
+        analysis::lint::RenderDiagnostics(res.sink, *text, path).c_str(),
         stdout);
   }
   // Exit code mirrors the highest severity: 0 clean, 1 warnings, 2 errors.
@@ -410,96 +422,66 @@ int CmdLint(std::vector<std::string> args, const MainOptions& mo) {
 /// Parses the --inject "key=value,key=value" fault spec; nullopt (with a
 /// message on stderr) on an unknown key or malformed pair.
 std::optional<telemetry::FaultSpec> ParseFaultSpec(const std::string& spec) {
-  telemetry::FaultSpec fs;
-  std::stringstream ss(spec);
-  std::string kv;
-  while (std::getline(ss, kv, ',')) {
-    if (kv.empty()) continue;
+  using F = telemetry::FaultSpec;
+  static constexpr std::pair<const char*, double F::*> kKeys[] = {
+      {"drop", &F::drop}, {"dup", &F::duplicate}, {"duplicate", &F::duplicate},
+      {"reorder", &F::reorder}, {"corrupt", &F::corrupt_time},
+      {"truncate", &F::truncate_tail}, {"gap-at", &F::gap_at},
+      {"skew-ms", &F::skew_ms}, {"drift-ppm", &F::drift_ppm}};
+  F fs;
+  for (const std::string& kv : SplitList(spec)) {
     auto eq = kv.find('=');
     if (eq == std::string::npos) {
-      std::fprintf(stderr, "bad fault spec '%s' (want key=value)\n",
-                   kv.c_str());
+      Refuse("bad fault spec '%s' (want key=value)", kv.c_str());
       return std::nullopt;
     }
-    std::string key = kv.substr(0, eq);
+    const std::string key = kv.substr(0, eq);
+    const std::string text = kv.substr(eq + 1);
     double val = 0;
-    if (!ParseFinite(kv.substr(eq + 1), val)) {
-      std::fprintf(stderr,
-                   "bad fault value '%s' for key '%s' (want a finite "
-                   "number)\n",
-                   kv.substr(eq + 1).c_str(), key.c_str());
+    if (!ParseFinite(text, val)) {
+      Refuse("bad fault value '%s' for key '%s' (want a finite number)",
+             text.c_str(), key.c_str());
       return std::nullopt;
     }
-    if (key == "drop") {
-      fs.drop = val;
-    } else if (key == "dup" || key == "duplicate") {
-      fs.duplicate = val;
-    } else if (key == "reorder") {
-      fs.reorder = val;
-    } else if (key == "reorder-span-ms") {
+    const auto* k = std::find_if(std::begin(kKeys), std::end(kKeys),
+                                 [&](const auto& e) { return key == e.first; });
+    if (key == "reorder-span-ms") {
       fs.reorder_span = Seconds(val / 1000.0);
-    } else if (key == "corrupt") {
-      fs.corrupt_time = val;
-    } else if (key == "truncate") {
-      fs.truncate_tail = val;
     } else if (key == "gap-s") {
       fs.gap = Seconds(val);
-    } else if (key == "gap-at") {
-      fs.gap_at = val;
-    } else if (key == "skew-ms") {
-      fs.skew_ms = val;
-    } else if (key == "drift-ppm") {
-      fs.drift_ppm = val;
+    } else if (k != std::end(kKeys)) {
+      fs.*(k->second) = val;
     } else {
-      std::fprintf(stderr,
-                   "unknown fault key '%s' (known: drop dup reorder "
-                   "reorder-span-ms corrupt truncate gap-s gap-at skew-ms "
-                   "drift-ppm)\n",
-                   key.c_str());
+      Refuse("unknown fault key '%s' (known: drop dup reorder "
+             "reorder-span-ms corrupt truncate gap-s gap-at skew-ms "
+             "drift-ppm)",
+             key.c_str());
       return std::nullopt;
     }
   }
   return fs;
 }
 
-int CmdIngest(std::vector<std::string> args, const MainOptions& mo) {
-  auto out_dir = TakeFlag(args, "--out");
-  auto inject = TakeFlag(args, "--inject");
-  std::optional<std::uint64_t> seed_f;
-  std::optional<double> reorder_window, gap_threshold;
-  if (int rc = TakeU64(args, "--seed", &seed_f)) return rc;
-  if (int rc = TakeD(args, "--reorder-window", &reorder_window)) return rc;
-  if (int rc = TakeD(args, "--gap-threshold", &gap_threshold)) return rc;
-  bool repair = false;
-  for (auto it = args.begin(); it != args.end();) {
-    if (*it == "--repair") {
-      repair = true;
-      it = args.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (args.size() != 1) return Usage();
-  std::optional<telemetry::FaultSpec> fault;
-  if (inject) {
-    fault = ParseFaultSpec(*inject);
-    if (!fault.has_value()) return 2;
-  }
+int CmdIngest(Cli& c, const MainOptions& mo) {
+  const std::string& dir = c.operands[0];
+  const auto out_dir = c.Text("--out");
+  const auto inject = c.Text("--inject");
+  const bool repair = c.Has("--repair");
+  const auto fault = inject ? ParseFaultSpec(*inject) : std::nullopt;
+  if (inject && !fault) return 2;
   if (mo.dry_run) return 0;
 
   telemetry::DatasetLoadReport load;
-  telemetry::SessionDataset ds = telemetry::LoadDataset(args[0], &load);
+  telemetry::SessionDataset ds = telemetry::LoadDataset(dir, &load);
   std::printf("loaded dataset '%s' (%s, %.0f s, %zu DCIs, %zu packets)\n",
-              args[0].c_str(), ds.cell_name.c_str(),
-              ds.duration().seconds(), ds.dci.size(), ds.packets.size());
+              dir.c_str(), ds.cell_name.c_str(), ds.duration().seconds(),
+              ds.dci.size(), ds.packets.size());
   if (!load.ok()) std::fputs(load.Format().c_str(), stdout);
 
   if (fault) {
-    std::uint64_t seed = seed_f.value_or(1);
-    telemetry::FaultSummary injected =
-        telemetry::InjectFaults(ds, *fault, seed);
+    const auto injected = telemetry::InjectFaults(ds, *fault, c.seed);
     std::printf("injected %zu faults (seed %llu)\n", injected.total(),
-                static_cast<unsigned long long>(seed));
+                static_cast<unsigned long long>(c.seed));
     // Without --repair, --out captures the *corrupted* dataset (before the
     // sanitize pass below) — a reproducible hostile fixture for tests.
     if (!repair && out_dir) {
@@ -508,16 +490,12 @@ int CmdIngest(std::vector<std::string> args, const MainOptions& mo) {
     }
   }
 
-  telemetry::SanitizeOptions opts;
-  if (reorder_window) opts.reorder_window = Seconds(*reorder_window);
-  if (gap_threshold) opts.gap_threshold = Seconds(*gap_threshold);
-  opts.correct_skew = repair;
-  telemetry::SanitizeReport health = telemetry::SanitizeDataset(ds, opts);
+  telemetry::SanitizeReport health = telemetry::SanitizeDataset(ds, c.sanitize);
   telemetry::MergeLoadReport(health, load);
   std::fputs(health.Format().c_str(), stdout);
 
   if (repair) {
-    const std::string& dest = out_dir ? *out_dir : args[0];
+    const std::string& dest = out_dir ? *out_dir : dir;
     telemetry::SaveDataset(ds, dest);
     std::printf("repaired dataset written to %s/\n", dest.c_str());
   } else if (out_dir && !inject) {
@@ -527,93 +505,57 @@ int CmdIngest(std::vector<std::string> args, const MainOptions& mo) {
   return health.clean() ? 0 : 1;
 }
 
-int CmdAnalyze(std::vector<std::string> args, const MainOptions& mo) {
-  auto config_path = TakeFlag(args, "--config");
-  std::optional<double> window_s, step_s, min_coverage;
-  if (int rc = TakeD(args, "--window", &window_s)) return rc;
-  if (int rc = TakeD(args, "--step", &step_s)) return rc;
-  if (int rc = TakeD(args, "--min-coverage", &min_coverage)) return rc;
-  auto chains_csv = TakeFlag(args, "--chains-csv");
-  auto features_csv = TakeFlag(args, "--features-csv");
-  auto json_report = TakeFlag(args, "--json-report");
-  bool offset_correct = false;
-  bool strict_lint = false;
-  bool no_lint = false;
-  bool no_sanitize = false;
-  for (auto it = args.begin(); it != args.end();) {
-    if (*it == "--offset-correct") {
-      offset_correct = true;
-      it = args.erase(it);
-    } else if (*it == "--strict-lint") {
-      strict_lint = true;
-      it = args.erase(it);
-    } else if (*it == "--no-lint") {
-      no_lint = true;
-      it = args.erase(it);
-    } else if (*it == "--no-sanitize") {
-      no_sanitize = true;
-      it = args.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (args.size() != 1) return Usage();
+int CmdAnalyze(Cli& c, const MainOptions& mo) {
+  const std::string& dir = c.operands[0];
   if (mo.dry_run) return 0;
 
   telemetry::DatasetLoadReport load;
-  telemetry::SessionDataset ds = telemetry::LoadDataset(args[0], &load);
+  telemetry::SessionDataset ds = telemetry::LoadDataset(dir, &load);
   std::optional<telemetry::SanitizeReport> health;
-  if (!no_sanitize) {
+  if (!c.Has("--no-sanitize")) {
     health = telemetry::SanitizeDataset(ds);
     telemetry::MergeLoadReport(*health, load);
   }
-  if (offset_correct) {
+  if (c.Has("--offset-correct")) {
     double offset_ms = telemetry::EstimateClockOffsetMs(ds);
     telemetry::AlignClocks(ds, offset_ms);
     std::printf("clock-offset correction applied: remote clock estimated "
                 "%+.1f ms ahead\n", offset_ms);
   }
   std::printf("loaded dataset '%s' (%s, %.0f s, %zu DCIs, %zu packets)\n",
-              args[0].c_str(), ds.cell_name.c_str(),
-              ds.duration().seconds(), ds.dci.size(), ds.packets.size());
+              dir.c_str(), ds.cell_name.c_str(), ds.duration().seconds(),
+              ds.dci.size(), ds.packets.size());
   // Stream-health details only surface when something was actually wrong,
   // keeping clean-trace output identical to historical runs.
   if (health.has_value() && !health->clean()) {
     std::fputs(health->Format().c_str(), stdout);
   }
 
-  analysis::DominoConfig cfg;
-  if (window_s) cfg.window = Seconds(*window_s);
-  if (step_s) cfg.step = Seconds(*step_s);
-  if (min_coverage) cfg.min_coverage = *min_coverage;
-  cfg.extract_features = true;
+  analysis::DominoConfig& cfg = c.live.detector;
   using LintMode = analysis::DominoConfig::LintMode;
-  cfg.lint = no_lint       ? LintMode::kOff
-             : strict_lint ? LintMode::kStrict
-                           : LintMode::kPermissive;
+  cfg.lint = c.Has("--no-lint")       ? LintMode::kOff
+             : c.Has("--strict-lint") ? LintMode::kStrict
+                                      : LintMode::kPermissive;
 
   analysis::CausalGraph graph = analysis::CausalGraph::Default(cfg.thresholds);
-  if (config_path) {
+  if (const auto config_path = c.Text("--config")) {
     auto text = ReadFileOrComplain(*config_path);
     if (!text.has_value()) return 2;
     if (cfg.lint == LintMode::kOff) {
       analysis::ExtendGraph(graph, analysis::ParseConfigText(*text),
                             cfg.thresholds);
     } else {
-      analysis::lint::LintOptions lopts;
-      lopts.thresholds = cfg.thresholds;
+      c.lint.thresholds = cfg.thresholds;
       // DL407 sample budgets should reflect the window actually analysed.
-      lopts.verify_options.window_ms = cfg.window.millis();
-      analysis::lint::LintResult lres =
-          analysis::lint::LintConfigText(*text, lopts);
+      c.lint.verify_options.window_ms = cfg.window.millis();
+      auto lres = analysis::lint::LintConfigText(*text, c.lint);
       if (cfg.lint == LintMode::kStrict) {
         analysis::lint::PromoteWarnings(lres.sink);
       }
       if (!lres.sink.empty()) {
-        std::fputs(analysis::lint::RenderDiagnostics(lres.sink, *text,
-                                                     *config_path)
-                       .c_str(),
-                   stderr);
+        const std::string rendered =
+            analysis::lint::RenderDiagnostics(lres.sink, *text, *config_path);
+        std::fputs(rendered.c_str(), stderr);
       }
       if (lres.sink.has_errors()) return 1;
       analysis::ExtendGraph(graph, lres.config, cfg.thresholds);
@@ -626,26 +568,25 @@ int CmdAnalyze(std::vector<std::string> args, const MainOptions& mo) {
   if (health.has_value()) trace.quality = health->quality();
   analysis::AnalysisResult result = detector.Analyze(trace);
 
-  const telemetry::SanitizeReport* health_ptr =
-      health.has_value() ? &*health : nullptr;
+  const telemetry::SanitizeReport* health_ptr = health ? &*health : nullptr;
   std::printf("\n%s",
               analysis::BuildSummaryReport(result, detector, health_ptr)
                   .c_str());
 
-  if (json_report) {
-    std::ofstream f(*json_report);
+  if (const auto path = c.Text("--json-report")) {
+    std::ofstream f(*path);
     f << analysis::BuildReportJson(result, detector, health_ptr);
-    std::printf("\nJSON report written to %s\n", json_report->c_str());
+    std::printf("\nJSON report written to %s\n", path->c_str());
   }
-  if (chains_csv) {
-    std::ofstream f(*chains_csv);
+  if (const auto path = c.Text("--chains-csv")) {
+    std::ofstream f(*path);
     analysis::WriteChainsCsv(f, result, detector);
-    std::printf("\nchain instances written to %s\n", chains_csv->c_str());
+    std::printf("\nchain instances written to %s\n", path->c_str());
   }
-  if (features_csv) {
-    std::ofstream f(*features_csv);
+  if (const auto path = c.Text("--features-csv")) {
+    std::ofstream f(*path);
     analysis::WriteFeaturesCsv(f, result);
-    std::printf("feature vectors written to %s\n", features_csv->c_str());
+    std::printf("feature vectors written to %s\n", path->c_str());
   }
   return 0;
 }
@@ -655,73 +596,48 @@ std::optional<std::pair<telemetry::StreamId, double>> ParseStallSpec(
     const std::string& spec) {
   auto eq = spec.find('=');
   if (eq == std::string::npos) {
-    std::fprintf(stderr, "bad stall spec '%s' (want stream=SEC)\n",
-                 spec.c_str());
+    Refuse("bad stall spec '%s' (want stream=SEC)", spec.c_str());
     return std::nullopt;
   }
-  const std::string name = spec.substr(0, eq);
+  std::string name = spec.substr(0, eq);
+  if (name == "gnb") name = "gnb_log";
   double sec = 0;
   if (!ParseFinite(spec.substr(eq + 1), sec)) {
-    std::fprintf(stderr, "bad stall time '%s' (want a finite number)\n",
-                 spec.substr(eq + 1).c_str());
+    Refuse("bad stall time '%s' (want a finite number)",
+           spec.substr(eq + 1).c_str());
     return std::nullopt;
   }
-  using telemetry::StreamId;
-  StreamId id;
-  if (name == "dci") {
-    id = StreamId::kDci;
-  } else if (name == "gnb_log" || name == "gnb") {
-    id = StreamId::kGnbLog;
-  } else if (name == "packets") {
-    id = StreamId::kPackets;
-  } else if (name == "stats_ue") {
-    id = StreamId::kStatsUe;
-  } else if (name == "stats_remote") {
-    id = StreamId::kStatsRemote;
-  } else {
-    std::fprintf(stderr,
-                 "unknown stream '%s' (known: dci gnb_log packets stats_ue "
-                 "stats_remote)\n",
-                 name.c_str());
-    return std::nullopt;
+  for (std::size_t i = 0; i < telemetry::kStreamCount; ++i) {
+    const auto id = static_cast<telemetry::StreamId>(i);
+    if (name == telemetry::StreamName(id)) return std::make_pair(id, sec);
   }
-  return std::make_pair(id, sec);
+  Refuse("unknown stream '%s' (known: dci gnb_log packets stats_ue "
+         "stats_remote)",
+         spec.substr(0, eq).c_str());
+  return std::nullopt;
 }
 
-int CmdReplay(std::vector<std::string> args, const MainOptions& mo) {
-  std::optional<std::int64_t> interval_ms, chunk_ms;
-  if (int rc = TakeI(args, "--interval-ms", 0, 3'600'000, &interval_ms)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--chunk-ms", 1, INT64_MAX / 1000, &chunk_ms)) {
-    return rc;
-  }
-  auto stall = TakeFlag(args, "--stall");
-  if (args.size() != 2) return Usage();
-  std::optional<std::pair<telemetry::StreamId, double>> stall_spec;
-  if (stall) {
-    stall_spec = ParseStallSpec(*stall);
-    if (!stall_spec.has_value()) return 2;
-  }
+int CmdReplay(Cli& c, const MainOptions& mo) {
+  const auto& args = c.operands;
+  const auto stall = c.Text("--stall");
+  const auto stall_spec = stall ? ParseStallSpec(*stall) : std::nullopt;
+  if (stall && !stall_spec) return 2;
   if (mo.dry_run) return 0;
 
   telemetry::SessionDataset ds = telemetry::LoadDataset(args[0]);
-  sim::LiveFeedOptions opts;
-  if (chunk_ms) opts.chunk = Millis(*chunk_ms);
   if (stall_spec) {
-    opts.stall_after[static_cast<std::size_t>(stall_spec->first)] =
+    c.feed.stall_after[static_cast<std::size_t>(stall_spec->first)] =
         ds.begin + Seconds(stall_spec->second);
   }
-  const int sleep_ms = static_cast<int>(interval_ms.value_or(0));
+  const Value* interval = c.Get("--interval-ms");
+  const int sleep_ms = interval ? static_cast<int>(interval->i) : 0;
 
-  sim::LiveFeedWriter writer(ds, args[1], opts);
+  sim::LiveFeedWriter writer(ds, args[1], c.feed);
   std::printf("replaying %s (%.0f s) into %s, %lld ms chunks...\n",
               args[0].c_str(), ds.duration().seconds(), args[1].c_str(),
-              static_cast<long long>(opts.chunk.micros() / 1000));
-  if (sleep_ms <= 0) {
-    writer.WriteAll();
-  } else {
-    while (writer.Step()) {
+              static_cast<long long>(c.feed.chunk.micros() / 1000));
+  while (writer.Step()) {
+    if (sleep_ms > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms));
     }
   }
@@ -737,21 +653,18 @@ std::atomic<int> g_hup_signals{0};
 std::atomic<bool> g_live_drain{false};
 
 #if !defined(_WIN32)
-void OnServeSignal(int sig) {
+void OnSignal(int sig) {
   if (sig == SIGHUP) {
     g_hup_signals.fetch_add(1, std::memory_order_relaxed);
   } else {
     g_term_signals.fetch_add(1, std::memory_order_relaxed);
+    g_live_drain.store(true, std::memory_order_relaxed);
   }
 }
 
-void OnLiveSignal(int) {
-  g_live_drain.store(true, std::memory_order_relaxed);
-}
-
-void InstallSignalHandlers(void (*handler)(int), bool with_hup) {
+void InstallSignalHandlers(bool with_hup) {
   struct sigaction sa {};
-  sa.sa_handler = handler;
+  sa.sa_handler = OnSignal;
   sigemptyset(&sa.sa_mask);
   sa.sa_flags = SA_RESTART;
   ::sigaction(SIGTERM, &sa, nullptr);
@@ -760,163 +673,58 @@ void InstallSignalHandlers(void (*handler)(int), bool with_hup) {
 }
 #endif
 
-int CmdLive(std::vector<std::string> args, const MainOptions& mo) {
-  auto state_dir = TakeFlag(args, "--state");
-  auto chaos_disk = TakeFlag(args, "--chaos-disk");
+int CmdLive(Cli& c, const MainOptions& mo) {
+  const auto& args = c.operands;
+  runtime::LiveOptions& opts = c.live;
+  const auto state_dir = c.Text("--state");
+  if (state_dir && args.size() > 1) {
+    return Refuse("--state needs a single dataset dir (got %zu); multiple "
+                  "sessions use <dataset>/live_state",
+                  args.size());
+  }
   // Sharded fencing (shard.h): a process-isolation serve child proves this
   // lease token before every durable write; a stolen lease exits 76.
-  auto fence_lease = TakeFlag(args, "--fence-lease");
-  std::optional<std::uint64_t> fence_token;
-  if (int rc = TakeU64(args, "--fence-token", &fence_token)) return rc;
-  std::optional<double> window_s, step_s, min_coverage, chunk_s, horizon_s,
-      stall_deadline_s;
-  std::optional<std::int64_t> threads, max_backlog, checkpoint_every,
-      max_idle, poll_sleep_ms, crash_after, chaos_crash, chaos_fail,
-      chaos_wedge, max_records;
-  if (int rc = TakeD(args, "--window", &window_s)) return rc;
-  if (int rc = TakeD(args, "--step", &step_s)) return rc;
-  if (int rc = TakeD(args, "--min-coverage", &min_coverage)) return rc;
-  if (int rc = TakeI(args, "--threads", 0, 4096, &threads)) return rc;
-  if (int rc = TakeD(args, "--chunk-s", &chunk_s)) return rc;
-  if (int rc = TakeD(args, "--horizon-s", &horizon_s)) return rc;
-  if (int rc = TakeD(args, "--stall-deadline-s", &stall_deadline_s)) {
-    return rc;
+  const bool fenced = c.Has("--fence-lease");
+  if (fenced != (opts.fence_token > 0)) {
+    return Refuse("--fence-lease and --fence-token (>= 1) go together");
   }
-  if (int rc = TakeI(args, "--max-backlog", 0, INT64_MAX, &max_backlog)) {
-    return rc;
+  if (fenced && args.size() > 1) {
+    return Refuse("--fence-lease covers a single session (got %zu datasets)",
+                  args.size());
   }
-  if (int rc = TakeI(args, "--checkpoint-every", 0, INT64_MAX,
-                     &checkpoint_every)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--max-idle", 0, INT_MAX, &max_idle)) return rc;
-  if (int rc = TakeI(args, "--poll-sleep-ms", 0, 3'600'000,
-                     &poll_sleep_ms)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--crash-after", 0, INT64_MAX, &crash_after)) {
-    return rc;
-  }
-  // Fleet chaos hooks (fire on fresh runs only; see LiveOptions). Exposed
-  // on `live` so a process-isolation `serve` child can carry them.
-  if (int rc = TakeI(args, "--chaos-crash", 0, INT64_MAX, &chaos_crash)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--chaos-fail", 0, INT64_MAX, &chaos_fail)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--chaos-wedge", 0, INT64_MAX, &chaos_wedge)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--max-records", 1, INT64_MAX, &max_records)) {
-    return rc;
-  }
-  bool naive = false;
-  bool follow = false;
-  bool sequential = false;
-  bool quiet = false;
-  for (auto it = args.begin(); it != args.end();) {
-    if (*it == "--naive") {
-      naive = true;
-      it = args.erase(it);
-    } else if (*it == "--follow") {
-      follow = true;
-      it = args.erase(it);
-    } else if (*it == "--sequential") {
-      sequential = true;
-      it = args.erase(it);
-    } else if (*it == "--quiet") {
-      quiet = true;
-      it = args.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (args.empty()) return Usage();
-  if (state_dir && args.size() > 1) {
-    std::fprintf(stderr,
-                 "--state needs a single dataset dir (got %zu); multiple "
-                 "sessions use <dataset>/live_state\n",
-                 args.size());
-    return 2;
-  }
-  if (fence_lease.has_value() != (fence_token.has_value() && *fence_token > 0)) {
-    std::fprintf(stderr,
-                 "--fence-lease and --fence-token (>= 1) go together\n");
-    return 2;
-  }
-  if (fence_lease && args.size() > 1) {
-    std::fprintf(stderr,
-                 "--fence-lease covers a single session (got %zu datasets)\n",
-                 args.size());
-    return 2;
-  }
-  if (mo.dry_run) return 0;
-
-  runtime::LiveOptions opts;
-  if (window_s) opts.detector.window = Seconds(*window_s);
-  if (step_s) opts.detector.step = Seconds(*step_s);
-  if (min_coverage) opts.detector.min_coverage = *min_coverage;
-  if (threads) opts.detector.threads = static_cast<int>(*threads);
-  opts.detector.incremental = !naive;
-  if (chunk_s) opts.chunk = Seconds(*chunk_s);
-  if (horizon_s) opts.horizon = Seconds(*horizon_s);
-  if (stall_deadline_s) opts.stall_deadline = Seconds(*stall_deadline_s);
-  if (max_backlog) opts.max_backlog_windows = static_cast<long>(*max_backlog);
-  if (checkpoint_every) {
-    opts.checkpoint_every_windows = static_cast<long>(*checkpoint_every);
-  }
-  if (max_idle) opts.max_idle_polls = static_cast<int>(*max_idle);
-  if (poll_sleep_ms) opts.poll_sleep_ms = static_cast<int>(*poll_sleep_ms);
-  if (crash_after) {
-    opts.crash_after_checkpoints = static_cast<long>(*crash_after);
-  }
-  if (chaos_crash) opts.chaos_crash_after = static_cast<long>(*chaos_crash);
-  if (chaos_fail) opts.chaos_fail_after = static_cast<long>(*chaos_fail);
-  if (chaos_wedge) opts.chaos_wedge_after = static_cast<long>(*chaos_wedge);
-  if (chaos_disk && !ParseDiskFaultSpec(*chaos_disk, &opts.disk_fault)) {
-    return BadFlag("--chaos-disk", *chaos_disk,
+  if (const auto disk = c.Text("--chaos-disk");
+      disk && !ParseDiskFaultSpec(*disk, &opts.disk_fault)) {
+    return BadFlag("--chaos-disk", *disk,
                    "enospc:N, eio:N, short:N, rename:N or fsync:N "
                    "with N >= 1");
   }
-  if (fence_lease) {
-    opts.fence_lease_dir = *fence_lease;
-    opts.fence_token = *fence_token;
-  }
-  if (max_records) {
-    opts.input.max_records = static_cast<std::size_t>(*max_records);
-  }
-  opts.follow = follow;
-  opts.quiet = quiet;
+  if (mo.dry_run) return 0;
+
 #if !defined(_WIN32)
   // SIGTERM/SIGINT drain: stop at the next poll boundary, write a drain
   // checkpoint, and exit 75 (EX_TEMPFAIL) so a supervisor — the fleet's
   // process isolation, or systemd — knows the run is resumable.
-  InstallSignalHandlers(OnLiveSignal, /*with_hup=*/false);
+  InstallSignalHandlers(/*with_hup=*/false);
   opts.drain = &g_live_drain;
 #endif
 
-  std::vector<runtime::SessionSpec> specs;
-  for (const std::string& dir : args) {
-    runtime::SessionSpec spec;
-    spec.dataset_dir = dir;
-    if (state_dir) spec.state_dir = *state_dir;
-    specs.push_back(std::move(spec));
+  std::vector<runtime::SessionSpec> specs(args.size());
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    specs[i].dataset_dir = args[i];
+    specs[i].state_dir = state_dir.value_or("");
   }
-
-  analysis::CausalGraph graph =
-      analysis::CausalGraph::Default(opts.detector.thresholds);
-  const bool parallel = !sequential && specs.size() > 1;
-  std::vector<runtime::SessionOutcome> outcomes =
-      runtime::RunSessions(specs, graph, opts, parallel);
+  const bool parallel = !c.Has("--sequential") && specs.size() > 1;
+  std::vector<runtime::SessionOutcome> outcomes = runtime::RunSessions(
+      specs, analysis::CausalGraph::Default(opts.detector.thresholds), opts,
+      parallel);
 
   int failures = 0;
-  int fenced = 0;
+  int fenced_stops = 0;
   bool drained = false;
   for (const auto& o : outcomes) {
     if (!o.ok) {
       ++failures;
-      if (o.error.rfind("fenced", 0) == 0) ++fenced;
+      if (o.error.rfind("fenced", 0) == 0) ++fenced_stops;
       std::printf("live %s: FAILED: %s\n", o.dataset_dir.c_str(),
                   o.error.c_str());
       continue;
@@ -936,7 +744,7 @@ int CmdLive(std::vector<std::string> args, const MainOptions& mo) {
   // 76: every failure was a fencing stop — the session lease was stolen
   // and this process wrote nothing further. The parent supervisor records
   // the session as fenced (terminal here, finished by the new owner).
-  if (failures != 0) return failures == fenced ? 76 : 1;
+  if (failures != 0) return failures == fenced_stops ? 76 : 1;
   // EX_TEMPFAIL: everything checkpointed cleanly but the run was stopped
   // by a signal — rerunning the same command resumes byte-identically.
   return drained ? 75 : 0;
@@ -947,10 +755,7 @@ int CmdLive(std::vector<std::string> args, const MainOptions& mo) {
 bool ParseChaosSpec(const std::string& spec, std::size_t sessions,
                     std::vector<runtime::SessionChaos>* out) {
   out->assign(sessions, runtime::SessionChaos{});
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
+  for (const std::string& item : SplitList(spec)) {
     const auto c1 = item.find(':');
     const auto c2 = c1 == std::string::npos ? c1 : item.find(':', c1 + 1);
     std::int64_t idx = 0, n = 0;
@@ -958,10 +763,9 @@ bool ParseChaosSpec(const std::string& spec, std::size_t sessions,
         !ParseInt64In(item.substr(0, c1), 0,
                       static_cast<std::int64_t>(sessions) - 1, idx) ||
         !ParseInt64In(item.substr(c2 + 1), 1, INT64_MAX, n)) {
-      std::fprintf(stderr,
-                   "bad chaos spec '%s' (want idx:kind:N with idx < %zu, "
-                   "kind crash|fail|wedge, N >= 1)\n",
-                   item.c_str(), sessions);
+      Refuse("bad chaos spec '%s' (want idx:kind:N with idx < %zu, kind "
+             "crash|fail|wedge, N >= 1)",
+             item.c_str(), sessions);
       return false;
     }
     const std::string kind = item.substr(c1 + 1, c2 - c1 - 1);
@@ -972,235 +776,89 @@ bool ParseChaosSpec(const std::string& spec, std::size_t sessions,
       c.fail_after = static_cast<long>(n);
     } else if (kind == "wedge") {
       c.wedge_after = static_cast<long>(n);
-    } else if (kind == "disk-enospc") {
-      c.disk = {DiskFaultSpec::Kind::kEnospc, static_cast<long>(n)};
-    } else if (kind == "disk-eio") {
-      c.disk = {DiskFaultSpec::Kind::kEio, static_cast<long>(n)};
-    } else if (kind == "disk-short") {
-      c.disk = {DiskFaultSpec::Kind::kShortWrite, static_cast<long>(n)};
-    } else if (kind == "disk-rename") {
-      c.disk = {DiskFaultSpec::Kind::kRename, static_cast<long>(n)};
-    } else if (kind == "disk-fsync") {
-      c.disk = {DiskFaultSpec::Kind::kFsync, static_cast<long>(n)};
+    } else if (kind.rfind("disk-", 0) == 0 &&
+               ParseDiskFaultSpec(kind.substr(5) + ":1", &c.disk)) {
+      c.disk.at_write = static_cast<long>(n);  // N may exceed :N's cap
     } else {
-      std::fprintf(stderr,
-                   "unknown chaos kind '%s' (known: crash fail wedge "
-                   "disk-enospc disk-eio disk-short disk-rename "
-                   "disk-fsync)\n",
-                   kind.c_str());
+      Refuse("unknown chaos kind '%s' (known: crash fail wedge disk-enospc "
+             "disk-eio disk-short disk-rename disk-fsync)",
+             kind.c_str());
       return false;
     }
   }
   return true;
 }
 
-/// Parses a `--tenant-* name=N,name=N` budget list; false on bad syntax.
-bool ParseTenantBudgets(const std::string& spec, const char* flag,
-                        std::int64_t lo,
-                        std::map<std::string, std::int64_t>* out) {
-  std::stringstream ss(spec);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
+/// Applies a `--tenant-* name=N,name=N` budget list, if given, to each
+/// named tenant's budget with `set`; false on bad syntax.
+bool ParseTenantBudgets(const Cli& c, const char* flag,
+                        std::map<std::string, runtime::TenantBudget>* out,
+                        void (*set)(runtime::TenantBudget&, long)) {
+  for (const std::string& item : SplitList(c.Text(flag).value_or(""))) {
     const auto eq = item.find('=');
     std::int64_t v = 0;
     if (eq == std::string::npos || eq == 0 ||
-        !ParseInt64In(item.substr(eq + 1), lo, INT64_MAX, v)) {
-      std::fprintf(stderr, "bad %s entry '%s' (want tenant=N)\n", flag,
-                   item.c_str());
+        !ParseInt64In(item.substr(eq + 1), 1, INT64_MAX, v)) {
+      Refuse("bad %s entry '%s' (want tenant=N)", flag, item.c_str());
       return false;
     }
-    (*out)[item.substr(0, eq)] = v;
+    set((*out)[item.substr(0, eq)], v);
   }
   return true;
 }
 
-int CmdServe(std::vector<std::string> args, const MainOptions& mo) {
-  auto state_root = TakeFlag(args, "--state-root");
-  auto report_path = TakeFlag(args, "--report");
-  auto isolate_s = TakeFlag(args, "--isolate");
-  auto exec_path = TakeFlag(args, "--exec");
-  auto chaos_spec = TakeFlag(args, "--chaos");
-  auto tenant_backlog_s = TakeFlag(args, "--tenant-backlog");
-  auto tenant_records_s = TakeFlag(args, "--tenant-max-records");
-  auto manifest_path = TakeFlag(args, "--manifest");
-  auto status_file = TakeFlag(args, "--status-file");
-  auto tunables_file = TakeFlag(args, "--tunables");
+int CmdServe(Cli& c, const MainOptions& mo) {
+  const auto& args = c.operands;
+  runtime::LiveOptions& opts = c.live;
+  runtime::FleetOptions& fopts = c.fleet;
+  runtime::ServeDaemonOptions& dopts = c.daemon;
+  const bool rooted = c.Has("--state-root");
   // Sharded fleet: --owner names this box; sessions are then claimed via
   // leases under <state-root>/shard (shard.h) before admission.
-  auto owner = TakeFlag(args, "--owner");
-  std::optional<double> window_s, step_s, min_coverage, chunk_s, horizon_s,
-      stall_deadline_s, session_deadline_s;
-  std::optional<std::int64_t> workers, max_attempts, backoff_ms,
-      backoff_cap_ms, global_backlog, max_backlog, checkpoint_every,
-      max_idle, scan_interval_ms, status_interval_ms, drain_grace_ms,
-      lease_ttl_ms, heartbeat_ms;
-  if (int rc = TakeI(args, "--lease-ttl-ms", 1, 3'600'000, &lease_ttl_ms)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--heartbeat-ms", 1, 3'600'000, &heartbeat_ms)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--scan-interval-ms", 1, 3'600'000,
-                     &scan_interval_ms)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--status-interval-ms", 1, 3'600'000,
-                     &status_interval_ms)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--drain-grace-ms", 0, 3'600'000,
-                     &drain_grace_ms)) {
-    return rc;
-  }
-  if (int rc = TakeD(args, "--window", &window_s)) return rc;
-  if (int rc = TakeD(args, "--step", &step_s)) return rc;
-  if (int rc = TakeD(args, "--min-coverage", &min_coverage)) return rc;
-  if (int rc = TakeD(args, "--chunk-s", &chunk_s)) return rc;
-  if (int rc = TakeD(args, "--horizon-s", &horizon_s)) return rc;
-  if (int rc = TakeD(args, "--stall-deadline-s", &stall_deadline_s)) {
-    return rc;
-  }
-  if (int rc = TakeD(args, "--session-deadline-s", &session_deadline_s)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--workers", 0, 4096, &workers)) return rc;
-  if (int rc = TakeI(args, "--max-attempts", 1, 1000, &max_attempts)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--backoff-ms", 0, 3'600'000, &backoff_ms)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--backoff-cap-ms", 0, 3'600'000,
-                     &backoff_cap_ms)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--global-backlog", 0, INT64_MAX,
-                     &global_backlog)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--max-backlog", 0, INT64_MAX, &max_backlog)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--checkpoint-every", 0, INT64_MAX,
-                     &checkpoint_every)) {
-    return rc;
-  }
-  if (int rc = TakeI(args, "--max-idle", 0, INT_MAX, &max_idle)) return rc;
-  bool naive = false;
-  bool quiet = false;
-  bool watch = false;
-  bool exit_when_idle = false;
-  for (auto it = args.begin(); it != args.end();) {
-    if (*it == "--naive") {
-      naive = true;
-      it = args.erase(it);
-    } else if (*it == "--quiet") {
-      quiet = true;
-      it = args.erase(it);
-    } else if (*it == "--watch") {
-      watch = true;
-      it = args.erase(it);
-    } else if (*it == "--exit-when-idle") {
-      exit_when_idle = true;
-      it = args.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (args.empty()) return Usage();
+  const bool sharded = c.Has("--owner");
 #if defined(_WIN32)
-  if (watch) {
-    std::fprintf(stderr, "serve: --watch needs POSIX signals\n");
-    return 2;
-  }
+  if (dopts.watch) return Refuse("serve: --watch needs POSIX signals");
 #endif
-  if (owner && (owner->empty() || !state_root)) {
-    std::fprintf(stderr,
-                 "serve: --owner needs a non-empty box id and "
-                 "--state-root (the shared filesystem root)\n");
-    return 2;
+  if (sharded && (dopts.owner.empty() || !rooted)) {
+    return Refuse("serve: --owner needs a non-empty box id and --state-root "
+                  "(the shared filesystem root)");
   }
-  if (owner) {
-    // The owner id lands in file names (fleet-<owner>.manifest) and in
-    // checksummed single-line records; keep it to a safe charset.
-    for (char c : *owner) {
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '.' || c == '_' ||
-                      c == '-';
-      if (!ok) {
-        return BadFlag("--owner", *owner,
-                       "letters, digits, '.', '_' or '-' only");
-      }
-    }
+  if ((c.Has("--lease-ttl-ms") || c.Has("--heartbeat-ms")) && !sharded) {
+    return Refuse("serve: --lease-ttl-ms/--heartbeat-ms only apply with "
+                  "--owner (sharded mode)");
   }
-  if ((lease_ttl_ms || heartbeat_ms) && !owner) {
-    std::fprintf(stderr,
-                 "serve: --lease-ttl-ms/--heartbeat-ms only apply with "
-                 "--owner (sharded mode)\n");
-    return 2;
-  }
-
-  runtime::FleetOptions fopts;
-  if (isolate_s) {
-    if (*isolate_s == "thread") {
-      fopts.isolate = runtime::IsolationMode::kThread;
-    } else if (*isolate_s == "process") {
-      fopts.isolate = runtime::IsolationMode::kProcess;
-    } else {
-      return BadFlag("--isolate", *isolate_s, "'thread' or 'process'");
-    }
-  }
-  if (workers) fopts.workers = static_cast<int>(*workers);
-  if (max_attempts) fopts.max_attempts = static_cast<int>(*max_attempts);
-  if (backoff_ms) fopts.backoff_ms = static_cast<long>(*backoff_ms);
-  if (backoff_cap_ms) {
-    fopts.backoff_cap_ms = static_cast<long>(*backoff_cap_ms);
-  }
-  if (global_backlog) {
-    fopts.global_backlog_windows = static_cast<long>(*global_backlog);
-  }
-  if (session_deadline_s) fopts.session_deadline_s = *session_deadline_s;
-  fopts.quiet = quiet;
 
   // Operands are <dir> or <tenant>=<dir>; --state-root gives session i the
   // state directory <root>/s<i> (default: <dataset>/live_state). With
   // --watch the operands are roots instead: sessions are discovered under
   // them at runtime (untenanted, state dir derived from the dataset path).
+  const auto chaos_spec = c.Text("--chaos");
   std::vector<runtime::SessionSpec> specs;
-  std::vector<std::string> watch_roots;
-  if (watch) {
+  if (dopts.watch) {
     if (chaos_spec) {
-      std::fprintf(stderr,
-                   "serve: --chaos needs a fixed session list; it cannot "
-                   "index runtime-discovered sessions (drop --watch or "
-                   "--chaos)\n");
-      return 2;
+      return Refuse("serve: --chaos needs a fixed session list; it cannot "
+                    "index runtime-discovered sessions (drop --watch or "
+                    "--chaos)");
     }
-    watch_roots.assign(args.begin(), args.end());
+    dopts.watch_roots = args;
   } else {
     for (std::size_t i = 0; i < args.size(); ++i) {
       runtime::SessionSpec spec;
       const auto eq = args[i].find('=');
-      if (eq != std::string::npos && eq > 0) {
-        spec.tenant = args[i].substr(0, eq);
-        spec.dataset_dir = args[i].substr(eq + 1);
-      } else {
-        spec.dataset_dir = args[i];
-      }
+      const bool tenanted = eq != std::string::npos && eq > 0;
+      spec.tenant = tenanted ? args[i].substr(0, eq) : "";
+      spec.dataset_dir = tenanted ? args[i].substr(eq + 1) : args[i];
       if (spec.dataset_dir.empty()) {
-        std::fprintf(stderr, "serve: empty dataset dir in '%s'\n",
-                     args[i].c_str());
-        return 2;
+        return Refuse("serve: empty dataset dir in '%s'", args[i].c_str());
       }
-      if (state_root) {
+      if (rooted) {
         // Sharded boxes must agree on the dataset->state mapping whatever
         // order (or subset) of operands each was started with, so they use
         // the stable path-hash mapping instead of the positional s<i>.
         spec.state_dir =
-            owner ? runtime::SessionStateDirFor(*state_root,
-                                                spec.dataset_dir)
-                  : *state_root + "/s" + std::to_string(i);
+            sharded ? runtime::SessionStateDirFor(dopts.state_root,
+                                                  spec.dataset_dir)
+                    : dopts.state_root + "/s" + std::to_string(i);
       }
       specs.push_back(std::move(spec));
     }
@@ -1210,76 +868,38 @@ int CmdServe(std::vector<std::string> args, const MainOptions& mo) {
       !ParseChaosSpec(*chaos_spec, specs.size(), &fopts.chaos)) {
     return 2;
   }
-  std::map<std::string, std::int64_t> tenant_backlog, tenant_records;
-  if (tenant_backlog_s && !ParseTenantBudgets(*tenant_backlog_s,
-                                              "--tenant-backlog", 1,
-                                              &tenant_backlog)) {
+  using Budget = runtime::TenantBudget;
+  if (!ParseTenantBudgets(c, "--tenant-backlog", &fopts.tenants,
+                          [](Budget& b, long v) { b.backlog_windows = v; }) ||
+      !ParseTenantBudgets(c, "--tenant-max-records", &fopts.tenants,
+                          [](Budget& b, long v) {
+                            b.input.max_records = v;
+                            b.has_input = true;
+                          })) {
     return 2;
-  }
-  if (tenant_records_s && !ParseTenantBudgets(*tenant_records_s,
-                                              "--tenant-max-records", 1,
-                                              &tenant_records)) {
-    return 2;
-  }
-  for (const auto& [tenant, v] : tenant_backlog) {
-    fopts.tenants[tenant].backlog_windows = static_cast<long>(v);
-  }
-  for (const auto& [tenant, v] : tenant_records) {
-    runtime::TenantBudget& tb = fopts.tenants[tenant];
-    tb.input.max_records = static_cast<std::size_t>(v);
-    tb.has_input = true;
   }
 
-  runtime::LiveOptions opts;
-  if (window_s) opts.detector.window = Seconds(*window_s);
-  if (step_s) opts.detector.step = Seconds(*step_s);
-  if (min_coverage) opts.detector.min_coverage = *min_coverage;
-  opts.detector.incremental = !naive;
-  if (chunk_s) opts.chunk = Seconds(*chunk_s);
-  if (horizon_s) opts.horizon = Seconds(*horizon_s);
-  if (stall_deadline_s) opts.stall_deadline = Seconds(*stall_deadline_s);
-  if (max_backlog) opts.max_backlog_windows = static_cast<long>(*max_backlog);
-  if (checkpoint_every) {
-    opts.checkpoint_every_windows = static_cast<long>(*checkpoint_every);
-  }
-  if (max_idle) opts.max_idle_polls = static_cast<int>(*max_idle);
+  fopts.quiet = opts.quiet;
   opts.quiet = true;  // Per-poll chatter from N sessions is noise.
 
   if (fopts.isolate == runtime::IsolationMode::kProcess) {
+    if (!c.Has("--exec")) {
 #if defined(__linux__)
-    fopts.exec_path = exec_path.value_or("/proc/self/exe");
+      fopts.exec_path = "/proc/self/exe";
 #else
-    if (!exec_path) {
-      std::fprintf(stderr,
-                   "serve: --isolate process needs --exec <domino binary> "
-                   "on this platform\n");
-      return 2;
-    }
-    fopts.exec_path = *exec_path;
+      return Refuse("serve: --isolate process needs --exec <domino binary> "
+                    "on this platform");
 #endif
+    }
     // Children must analyse with the exact same configuration, or their
-    // checkpoints would be fingerprint-incompatible across attempts.
-    auto fwd_d = [&fopts](const char* flag, std::optional<double> v) {
-      if (!v) return;
-      std::ostringstream os;
-      os << *v;
-      fopts.child_args.push_back(flag);
-      fopts.child_args.push_back(os.str());
-    };
-    auto fwd_i = [&fopts](const char* flag, std::optional<std::int64_t> v) {
-      if (!v) return;
-      fopts.child_args.push_back(flag);
-      fopts.child_args.push_back(std::to_string(*v));
-    };
-    fwd_d("--window", window_s);
-    fwd_d("--step", step_s);
-    fwd_d("--min-coverage", min_coverage);
-    fwd_d("--chunk-s", chunk_s);
-    fwd_d("--horizon-s", horizon_s);
-    fwd_d("--stall-deadline-s", stall_deadline_s);
-    fwd_i("--checkpoint-every", checkpoint_every);
-    fwd_i("--max-idle", max_idle);
-    if (naive) fopts.child_args.push_back("--naive");
+    // checkpoints would be fingerprint-incompatible across attempts: they
+    // get the operator's own tokens, never a re-formatted value.
+    for (const Cli::Given& g : c.given) {
+      if (Declares(kAnalysisFlags, g.flag) || Declares(kSessionFlags, g.flag)) {
+        fopts.child_args.insert(fopts.child_args.end(), g.tokens.begin(),
+                                g.tokens.end());
+      }
+    }
   }
   if (mo.dry_run) return 0;
 
@@ -1288,41 +908,20 @@ int CmdServe(std::vector<std::string> args, const MainOptions& mo) {
   // for resume-across-growth).
   fopts.gc_checkpoints = true;
 
-  runtime::ServeDaemonOptions dopts;
-  dopts.watch = watch;
-  dopts.exit_when_idle = exit_when_idle;
-  if (scan_interval_ms) {
-    dopts.scan_interval_ms = static_cast<long>(*scan_interval_ms);
-  }
-  if (status_interval_ms) {
-    dopts.status_interval_ms = static_cast<long>(*status_interval_ms);
-  }
-  if (drain_grace_ms) {
-    dopts.drain_grace_ms = static_cast<long>(*drain_grace_ms);
-  }
-  dopts.state_root = state_root.value_or("");
-  if (owner) {
-    dopts.owner = *owner;
-    if (lease_ttl_ms) dopts.lease_ttl_ms = static_cast<long>(*lease_ttl_ms);
-    if (heartbeat_ms) dopts.heartbeat_ms = static_cast<long>(*heartbeat_ms);
-  }
-  if (manifest_path) {
-    dopts.manifest_path = *manifest_path;
-  } else if (owner) {
+  const bool default_manifest = !c.Has("--manifest");
+  if (default_manifest && sharded) {
     // Sharded boxes write per-owner manifests on the shared root — they
     // must not clobber each other's, and `domino fleet-status` merges all
     // of them.
-    dopts.manifest_path = *state_root + "/fleet-" + *owner + ".manifest";
-  } else if (watch && state_root) {
+    dopts.manifest_path =
+        dopts.state_root + "/fleet-" + dopts.owner + ".manifest";
+  } else if (default_manifest && dopts.watch && rooted) {
     // Only watch mode defaults to a manifest: a plain batch serve must not
     // silently resume from an earlier run's ledger.
-    dopts.manifest_path = *state_root + "/fleet.manifest";
+    dopts.manifest_path = dopts.state_root + "/fleet.manifest";
   }
-  dopts.status_path = status_file.value_or("");
-  dopts.tunables_path = tunables_file.value_or("");
-  dopts.watch_roots = std::move(watch_roots);
 #if !defined(_WIN32)
-  InstallSignalHandlers(OnServeSignal, /*with_hup=*/true);
+  InstallSignalHandlers(/*with_hup=*/true);
   dopts.term_signals = &g_term_signals;
   dopts.hup_signals = &g_hup_signals;
 #endif
@@ -1339,14 +938,10 @@ int CmdServe(std::vector<std::string> args, const MainOptions& mo) {
   const runtime::FleetReport& report = dres.report;
 
   std::fputs(runtime::FormatFleetReportText(report).c_str(), stdout);
-  if (report_path) {
-    std::ofstream f(*report_path, std::ios::binary | std::ios::trunc);
-    if (!f) {
-      std::fprintf(stderr, "serve: cannot write %s\n", report_path->c_str());
-      return 2;
-    }
-    f << runtime::BuildFleetReportJson(report);
-    std::printf("JSON report written to %s\n", report_path->c_str());
+  if (const auto path = c.Text("--report")) {
+    const std::string json = runtime::BuildFleetReportJson(report);
+    if (!WriteOrComplain("serve", *path, json)) return 2;
+    std::printf("JSON report written to %s\n", path->c_str());
   }
   // Exit codes (documented in --help): a drain is a clean stop — the
   // manifest carries the rest; otherwise quarantines trump shedding.
@@ -1359,35 +954,19 @@ int CmdServe(std::vector<std::string> args, const MainOptions& mo) {
   return 0;
 }
 
-int CmdFleetStatus(std::vector<std::string> args, const MainOptions& mo) {
-  auto out_path = TakeFlag(args, "--out");
-  bool with_owners = false;
-  for (auto it = args.begin(); it != args.end();) {
-    if (*it == "--owners") {
-      with_owners = true;
-      it = args.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  if (args.size() != 1) return Usage();
+int CmdFleetStatus(Cli& c, const MainOptions& mo) {
   if (mo.dry_run) return 0;
 
   runtime::FleetStatusView view;
   std::string err;
-  if (!runtime::CollectFleetStatus(args[0], &view, &err)) {
+  if (!runtime::CollectFleetStatus(c.operands[0], &view, &err)) {
     std::fprintf(stderr, "fleet-status: %s\n", err.c_str());
     return 1;
   }
-  const std::string json = runtime::BuildFleetStatusJson(view, with_owners);
-  if (out_path) {
-    std::ofstream f(*out_path, std::ios::binary | std::ios::trunc);
-    if (!f) {
-      std::fprintf(stderr, "fleet-status: cannot write %s\n",
-                   out_path->c_str());
-      return 2;
-    }
-    f << json;
+  const std::string json =
+      runtime::BuildFleetStatusJson(view, c.Has("--owners"));
+  if (const auto path = c.Text("--out")) {
+    if (!WriteOrComplain("fleet-status", *path, json)) return 2;
   } else {
     std::fputs(json.c_str(), stdout);
   }
@@ -1402,15 +981,10 @@ int CmdFleetStatus(std::vector<std::string> args, const MainOptions& mo) {
   return open ? 3 : 0;
 }
 
-int CmdConvert(std::vector<std::string> args, const MainOptions& mo) {
-  std::string to = "bin";
-  if (auto t = TakeFlag(args, "--to")) to = *t;
-  if (to != "bin" && to != "csv") {
-    return BadFlag("--to", to, "'bin' or 'csv'");
-  }
-  if (args.size() != 2) return Usage();
-  const std::string& in_dir = args[0];
-  const std::string& out_dir = args[1];
+int CmdConvert(Cli& c, const MainOptions& mo) {
+  const bool to_bin = c.Text("--to").value_or("bin") == "bin";
+  const std::string& in_dir = c.operands[0];
+  const std::string& out_dir = c.operands[1];
   if (mo.dry_run) return 0;
 
   telemetry::DatasetLoadReport report;
@@ -1420,7 +994,7 @@ int CmdConvert(std::vector<std::string> args, const MainOptions& mo) {
                  report.Format().c_str());
   }
   std::string out_path;
-  if (to == "bin") {
+  if (to_bin) {
     if (!telemetry::SaveDatasetBinary(ds, out_dir)) {
       std::fprintf(stderr, "cannot write %s/%s\n", out_dir.c_str(),
                    telemetry::kBinaryDatasetFile);
@@ -1432,62 +1006,257 @@ int CmdConvert(std::vector<std::string> args, const MainOptions& mo) {
     out_path = out_dir + "/ (CSV bundle)";
   }
   std::printf("converted %s -> %s: %zu DCIs, %zu packets, %zu gNB log rows, "
-              "%zu+%zu stats rows\n",
-              in_dir.c_str(), out_path.c_str(), ds.dci.size(),
-              ds.packets.size(), ds.gnb_log.size(), ds.stats[0].size(),
-              ds.stats[1].size());
+              "%zu+%zu stats rows\n", in_dir.c_str(), out_path.c_str(),
+              ds.dci.size(), ds.packets.size(), ds.gnb_log.size(),
+              ds.stats[0].size(), ds.stats[1].size());
   return report.ok() ? 0 : 1;
 }
 
-int CmdCodegen(std::vector<std::string> args, const MainOptions& mo) {
-  auto out = TakeFlag(args, "-o");
-  if (args.size() != 1) return Usage();
+int CmdCodegen(Cli& c, const MainOptions& mo) {
   if (mo.dry_run) return 0;
-  std::ifstream f(args[0]);
-  if (!f) {
-    std::fprintf(stderr, "cannot open config '%s'\n", args[0].c_str());
-    return 2;
-  }
-  std::stringstream buf;
-  buf << f.rdbuf();
+  const auto text = ReadFileOrComplain(c.operands[0]);
+  if (!text.has_value()) return 2;
   std::string python =
-      analysis::GeneratePython(analysis::ParseConfigText(buf.str()));
-  if (out) {
+      analysis::GeneratePython(analysis::ParseConfigText(*text));
+  if (const auto out = c.Text("-o")) {
     std::ofstream o(*out);
     o << python;
     std::printf("wrote %zu bytes of Python to %s\n", python.size(),
                 out->c_str());
   } else {
-    std::cout << python;
+    std::fputs(python.c_str(), stdout);
+  }
+  return 0;
+}
+
+// --- Subcommands, --help and the parser -------------------------------------
+
+struct Command {
+  const char* name;
+  const char* operands;
+  std::size_t min_operands, max_operands;
+  const char* about;
+  std::vector<std::span<const Flag>> flags;
+  int (*run)(Cli&, const MainOptions&);
+  const char* notes = nullptr;  ///< Free text after the flag lines.
+};
+
+constexpr std::size_t kMany = SIZE_MAX;
+
+const std::vector<Command> kCommands = {
+    {"simulate", "<cell> <seconds> <out_dir>", 3, 3,
+     "simulate a two-party call over a modelled cell into a dataset",
+     {kSeedFlags}, CmdSimulate,
+     "    cells: tmobile-fdd15 tmobile-tdd100 amarisoft mosolabs wired\n"},
+    {"ingest", "<dataset_dir>", 1, 1,
+     "sanitize a dataset and print per-stream health (exit 1 if degraded)",
+     {kIngestFlags, kSeedFlags}, CmdIngest,
+     "    Inject keys: drop dup reorder reorder-span-ms corrupt truncate\n"
+     "    gap-s gap-at skew-ms drift-ppm.\n"},
+    {"analyze", "<dataset_dir>", 1, 1,
+     "run the causal-chain analysis over a saved dataset",
+     {kAnalysisFlags, kAnalyzeFlags}, CmdAnalyze},
+    {"live", "<dataset_dir>...", 1, kMany,
+     "crash-safe live analysis of growing captures, resumable after a kill",
+     {kAnalysisFlags, kSessionFlags, kRunFlags, kLiveFlags}, CmdLive},
+    {"serve", "<dir | tenant=dir>...", 1, kMany,
+     "supervised fleet: retry, quarantine, drain and shard many sessions",
+     {kAnalysisFlags, kSessionFlags, kRunFlags, kServeFlags}, CmdServe,
+     "    With --watch the operands are roots: a subdirectory becomes a\n"
+     "    session once its meta.csv parses. SIGTERM/SIGINT drain\n"
+     "    (checkpoint + manifest, exit 0); SIGHUP re-scans the roots and\n"
+     "    reloads the tunables file. Chaos kinds: crash fail wedge disk-\n"
+     "    enospc disk-eio disk-short disk-rename disk-fsync.\n"
+     "    With an owner id, daemons on many boxes sharing one state root\n"
+     "    run one fleet: sessions are claimed by fencing-token leases, and\n"
+     "    a box whose heartbeat goes stale has its sessions resumed\n"
+     "    elsewhere from their checkpoints; its own stolen sessions end\n"
+     "    'fenced', not failed.\n"
+     "    Exit codes: 0 completed (or clean drain), 2 usage error, 3\n"
+     "    windows were shed, 4 a session failed or was quarantined.\n"
+     "    (`domino live` exits 76 when fenced.)\n"},
+    {"fleet-status", "<state_root>", 1, 1,
+     "merge every box's manifest into one JSON fleet view",
+     {kFleetStatusFlags}, CmdFleetStatus,
+     "    Exit 0 all terminal, 3 some open or fenced, 4 some quarantined.\n"},
+    {"replay", "<dataset_dir> <out_dir>", 2, 2,
+     "replay a saved dataset as a growing capture, for live follow mode",
+     {kReplayFlags}, CmdReplay},
+    {"convert", "<in_dir> <out_dir>", 2, 2,
+     "re-encode a dataset between CSV and the binary telemetry.dtb",
+     {kConvertFlags}, CmdConvert},
+    {"codegen", "<config_file>", 1, 1,
+     "generate the standalone Python detector for a config",
+     {kCodegenFlags}, CmdCodegen},
+    {"lint", "<config_file>", 1, 1,
+     "statically analyse a config (exit 0 clean, 1 warnings, 2 errors)",
+     {std::span(kAnalysisFlags).first(1), kLintFlags}, CmdLint},
+};
+
+const Command* FindCommand(const std::string& name) {
+  const std::string key = name == "--lint" ? "lint" : name;
+  for (const Command& cmd : kCommands) {
+    if (key == cmd.name) return &cmd;
+  }
+  return nullptr;
+}
+
+const Flag* FindFlag(const Command& cmd, std::string_view name) {
+  for (const Flag& f : cmd.flags | std::views::join) {
+    if (name == f.name) return &f;
+  }
+  return nullptr;
+}
+
+void PrintCommandHelp(std::FILE* to, const Command& cmd) {
+  std::fprintf(to, "  domino %s %s\n      %s\n", cmd.name, cmd.operands,
+               cmd.about);
+  std::string internal;
+  for (const Flag& f : cmd.flags | std::views::join) {
+    if (f.help == nullptr) {
+      internal += std::string(" ") + f.name;
+      continue;
+    }
+    std::string usage = f.name;
+    if (*f.meta != '\0') usage += std::string(" ") + f.meta;
+    std::fprintf(to, "      %-28s %s\n", usage.c_str(), f.help);
+  }
+  if (!internal.empty()) {
+    std::fprintf(to, "      internal:%s\n", internal.c_str());
+  }
+  if (cmd.notes != nullptr) std::fputs(cmd.notes, to);
+}
+
+void PrintUsage(std::FILE* to) {
+  std::fputs("usage: domino <command> <operands> [flags]\n"
+             "Flag values: --flag V or --flag=V; [x] is the default.\n",
+             to);
+  for (const Command& cmd : kCommands) PrintCommandHelp(to, cmd);
+  std::fprintf(to, "  domino --help | --version\n");
+}
+
+/// A usage error: one-line diagnostic plus the command's help, exit 2.
+int UsageError(const Command& cmd, const std::string& what) {
+  Refuse("domino %s: %s", cmd.name, what.c_str());
+  PrintCommandHelp(stderr, cmd);
+  return 2;
+}
+
+/// Validates `text` against `f`'s kind and bounds into `out`.
+bool ParseValue(const Flag& f, const std::string& text, Value& out,
+                std::string& want) {
+  out.text = text;
+  switch (f.kind) {
+    case Kind::kSwitch:
+    case Kind::kText:
+      return true;
+    case Kind::kNumber:
+      want = "a finite number";
+      if (!ParseFinite(text, out.num)) return false;
+      out.dur = Seconds(out.num);
+      return true;
+    case Kind::kPeriod:
+      // Below 1 us a window or step rounds to zero and the window loop
+      // never advances; above 9e12 s the microsecond count overflows.
+      want = "seconds in [0.000001, 9e12]";
+      if (!ParseFiniteIn(text, 0, 9e12, out.num)) return false;
+      out.dur = Seconds(out.num);
+      return out.dur >= Micros(1);
+    case Kind::kInt:
+      want = "an integer in [" + std::to_string(f.lo) + ", " +
+             std::to_string(f.hi) + "]";
+      return ParseInt64In(text, f.lo, f.hi, out.i);
+    case Kind::kUint:
+      want = "an unsigned integer";
+      return ParseUint64(text, out.u);
+    case Kind::kName:
+      // Such ids land in file names (fleet-<owner>.manifest) and in
+      // checksummed single-line records; keep them to a safe charset.
+      want = "letters, digits, '.', '_' or '-' only";
+      return text.find_first_not_of("abcdefghijklmnopqrstuvwxyz"
+                                    "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+                                    "0123456789._-") == std::string::npos;
+    case Kind::kChoice:
+      want = std::string("one of ") + f.meta;
+      return text.find('|') == std::string::npos &&
+             ("|" + std::string(f.meta) + "|").find("|" + text + "|") !=
+                 std::string::npos;
+  }
+  return false;
+}
+
+/// One left-to-right pass over argv: `--flag V` and `--flag=V` anywhere,
+/// every other token an operand. Returns 0, or 2 after a diagnostic.
+int Parse(const Command& cmd, const std::vector<std::string>& args, Cli& c) {
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    if (arg.size() < 2 || arg[0] != '-') {
+      c.operands.push_back(arg);
+      continue;
+    }
+    const std::size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const Flag* f = FindFlag(cmd, name);
+    if (f == nullptr) return UsageError(cmd, "unknown flag '" + name + "'");
+    if (c.Has(name)) return UsageError(cmd, name + " given twice");
+    Cli::Given g{f, {}, {arg}};
+    std::string text;
+    if (eq != std::string::npos) {
+      if (f->kind == Kind::kSwitch) {
+        return UsageError(cmd, name + " takes no value");
+      }
+      text = arg.substr(eq + 1);
+    } else if (f->kind != Kind::kSwitch) {
+      if (i + 1 == args.size()) return UsageError(cmd, name + " needs a value");
+      text = args[++i];
+      g.tokens.push_back(text);
+    }
+    std::string want;
+    if (!ParseValue(*f, text, g.value, want)) {
+      return BadFlag(f->name, text, want.c_str());
+    }
+    if (f->set) f->set(c, g.value);
+    c.given.push_back(std::move(g));
+  }
+  if (c.operands.size() < cmd.min_operands ||
+      c.operands.size() > cmd.max_operands) {
+    return UsageError(cmd, "wrong number of operands");
   }
   return 0;
 }
 
 }  // namespace
 
+std::map<std::string, std::vector<std::string>> FlagTable() {
+  std::map<std::string, std::vector<std::string>> table;
+  for (const Command& cmd : kCommands) {
+    for (const Flag& f : cmd.flags | std::views::join) {
+      table[cmd.name].push_back(f.name);
+    }
+  }
+  return table;
+}
+
 int DominoMain(std::vector<std::string> args, const MainOptions& mo) {
-  if (args.empty()) return Usage();
-  const std::string cmd = args[0];
-  args.erase(args.begin());
-  if (cmd == "--help" || cmd == "-h" || cmd == "help") {
+  const std::string name = args.empty() ? "" : args[0];
+  if (name == "--help" || name == "-h" || name == "help") {
     PrintUsage(stdout);
     return 0;
   }
-  if (cmd == "--version" || cmd == "version") {
+  if (name == "--version" || name == "version") {
     std::printf("domino %s\n", DOMINO_VERSION);
     return 0;
   }
+  const Command* cmd = FindCommand(name);
+  if (cmd == nullptr) {
+    PrintUsage(stderr);
+    return 2;
+  }
+  args.erase(args.begin());
   try {
-    if (cmd == "simulate") return CmdSimulate(std::move(args), mo);
-    if (cmd == "ingest") return CmdIngest(std::move(args), mo);
-    if (cmd == "analyze") return CmdAnalyze(std::move(args), mo);
-    if (cmd == "live") return CmdLive(std::move(args), mo);
-    if (cmd == "serve") return CmdServe(std::move(args), mo);
-    if (cmd == "fleet-status") return CmdFleetStatus(std::move(args), mo);
-    if (cmd == "replay") return CmdReplay(std::move(args), mo);
-    if (cmd == "codegen") return CmdCodegen(std::move(args), mo);
-    if (cmd == "convert") return CmdConvert(std::move(args), mo);
-    if (cmd == "lint" || cmd == "--lint") return CmdLint(std::move(args), mo);
+    Cli c;
+    if (int rc = Parse(*cmd, args, c)) return rc;
+    return cmd->run(c, mo);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
@@ -1495,7 +1264,6 @@ int DominoMain(std::vector<std::string> args, const MainOptions& mo) {
     std::fprintf(stderr, "error: unknown exception\n");
     return 1;
   }
-  return Usage();
 }
 
 }  // namespace domino::cli

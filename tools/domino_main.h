@@ -6,6 +6,7 @@
 // fuzz/fuzz_cli.cpp for the harness that feeds this random argv vectors.
 #pragma once
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -21,8 +22,13 @@ struct MainOptions {
 
 /// Runs the `domino` tool. `args` is argv[1..]: subcommand first, then its
 /// flags/operands. Returns the process exit code. Malformed flag values
-/// (e.g. `--threads=abc`, `--seed 1e999`) produce a one-line diagnostic on
-/// stderr and exit code 2 — never an uncaught exception.
+/// (e.g. `--threads=abc`, `--seed 1e999`) and unknown, repeated or
+/// value-less flags produce a one-line diagnostic on stderr and exit code
+/// 2 — never an uncaught exception.
 int DominoMain(std::vector<std::string> args, const MainOptions& opts = {});
+
+/// Every flag each subcommand accepts, keyed by subcommand, from the same
+/// table the parser and `domino --help` are built from.
+std::map<std::string, std::vector<std::string>> FlagTable();
 
 }  // namespace domino::cli
