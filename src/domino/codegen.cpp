@@ -3,19 +3,11 @@
 #include <set>
 #include <sstream>
 
+#include "domino/prelude.h"
+
 namespace domino::analysis {
 
 namespace {
-
-std::string Leg(const EventRef& ref) {
-  return ref.leg == PathLeg::kRev ? "rev" : "fwd";
-}
-
-std::string Num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%g", v);
-  return buf;
-}
 
 /// Sanitises a node name ("harq_retx@rev" -> "harq_retx__rev") for use in a
 /// Python identifier.
@@ -26,34 +18,39 @@ std::string PyName(const std::string& node_name) {
 }
 
 constexpr const char* kPreamble = R"PY(# Generated by Domino (cross-layer causal-chain detector).
-# Each window `w` maps "scope.series" names to lists of float samples.
+# Window `w`: see the contract in codegen.h. Sums run left to right, as in C++.
 
-def dsl_min(s):
-    return min(s) if s else 0.0
+def _sum(s):
+    acc = 0.0
+    for v in s:
+        acc += v
+    return acc
 
-def dsl_max(s):
-    return max(s) if s else 0.0
-
-def dsl_mean(s):
-    return sum(s) / len(s) if s else 0.0
+def dsl_min(s): return min(s) if s else 0.0
+def dsl_max(s): return max(s) if s else 0.0
+def dsl_mean(s): return _sum(s) / len(s) if s else 0.0
+def dsl_first(s): return s[0] if s else 0.0
+def dsl_last(s): return s[-1] if s else 0.0
+def dsl_sum(s): return _sum(s)
+def dsl_count(s): return float(len(s))
+def dsl_argmin(s, t): return t[s.index(min(s))] / 1000.0 if s else 0.0
+def dsl_argmax(s, t): return t[s.index(max(s))] / 1000.0 if s else 0.0
+def dsl_count_below(s, x): return float(sum(1 for v in s if v < x))
+def dsl_count_above(s, x): return float(sum(1 for v in s if v > x))
+def dsl_has_drop(s, f=0.0): return any(b < a * (1.0 - f) for a, b in zip(s, s[1:]))
+def dsl_has_rise(s): return any(b > a for a, b in zip(s, s[1:]))
+def dsl_count_gt(a, b): return float(sum(1 for x, y in zip(a, b) if x > y))
+def dsl_pairs(a, b): return float(min(len(a), len(b)))
+def dsl_any_gt(a, b): return any(x > y for x, y in zip(a, b))
+def dsl_any_lt(a, b, k=1.0): return any(x < k * y for x, y in zip(a, b))
+def dsl_any_over_cap(a, c): return any(y > 0 and x > y for x, y in zip(a, c))
+def dsl_any_mismatch(a, b, t): return any(abs(x - y) > t * x for x, y in zip(a, b))
 
 def dsl_stddev(s):
     if len(s) < 2:
         return 0.0
-    m = sum(s) / len(s)
-    return (sum((x - m) ** 2 for x in s) / (len(s) - 1)) ** 0.5
-
-def dsl_first(s):
-    return s[0] if s else 0.0
-
-def dsl_last(s):
-    return s[-1] if s else 0.0
-
-def dsl_sum(s):
-    return float(sum(s))
-
-def dsl_count(s):
-    return float(len(s))
+    m = _sum(s) / len(s)
+    return (_sum((x - m) ** 2 for x in s) / (len(s) - 1)) ** 0.5
 
 def dsl_p(s, q):
     if not s:
@@ -61,125 +58,41 @@ def dsl_p(s, q):
     v = sorted(s)
     if len(v) == 1:
         return v[0]
-    rank = q / 100.0 * (len(v) - 1)
+    rank = min(max(q, 0.0), 100.0) / 100.0 * (len(v) - 1)
     lo = int(rank)
     hi = min(lo + 1, len(v) - 1)
     return v[lo] + (rank - lo) * (v[hi] - v[lo])
 
-def dsl_count_below(s, x):
-    return float(sum(1 for v in s if v < x))
+def _time_buckets(s, t, width_ms):
+    width = int(width_ms * 1000 + 0.5)
+    out, acc, n, k = [], 0.0, 0, None
+    for v, ti in zip(s, t) if width >= 1 else ():
+        if ti // width != k:
+            if n:
+                out.append(acc / n)
+            acc, n, k = 0.0, 0, ti // width
+        acc += v
+        n += 1
+    return out + [acc / n] if n else out
 
-def dsl_count_above(s, x):
-    return float(sum(1 for v in s if v > x))
+def _buckets(s, n):
+    n = int(n) if 1 <= n <= 1e15 else 0
+    return [_sum(s[k*n:(k+1)*n]) / n for k in range(len(s) // n)] if n else []
 
-def dsl_has_drop(s):
-    return any(b < a for a, b in zip(s, s[1:]))
-
-def dsl_has_rise(s):
-    return any(b > a for a, b in zip(s, s[1:]))
-
-def _buckets(s, n=10):
-    return [sum(s[k*n:(k+1)*n]) / n for k in range(len(s) // n)]
-
-def dsl_trend_up(s):
-    b = _buckets(s)
-    return any(y > x for x, y in zip(b, b[1:]))
+def dsl_trend_up(s, n=10, k=1.0):
+    b = _buckets(s, n)
+    return any(y > x * k for x, y in zip(b, b[1:]))
 
 def dsl_trend_down(s):
-    b = _buckets(s)
+    b = _buckets(s, 10)
     return any(y < x for x, y in zip(b, b[1:]))
 
 def dsl_frac_gt(a, b):
     n = min(len(a), len(b))
-    if n == 0:
-        return 0.0
-    return sum(1 for i in range(n) if a[i] > b[i]) / n
-
-def dsl_any_gt(a, b):
-    n = min(len(a), len(b))
-    return any(a[i] > b[i] for i in range(n))
-
-def _rel_drop(s, frac):
-    return any(b < a * (1.0 - frac) for a, b in zip(s, s[1:]))
-
-def _fps_drop(s, hi, lo):
-    if not s or dsl_max(s) <= hi or dsl_min(s) >= lo:
-        return False
-    return s.index(max(s)) < s.index(min(s))
+    return sum(1 for i in range(n) if a[i] > b[i]) / n if n else 0.0
 )PY";
 
 }  // namespace
-
-std::string PythonForBuiltin(const EventRef& ref, const EventThresholds& th) {
-  const std::string leg = Leg(ref);
-  auto dir_series = [&](const char* name) {
-    return "w[\"" + leg + "." + name + "\"]";
-  };
-  switch (ref.type) {
-    case EventType::kInboundFpsDrop:
-      return "_fps_drop(w[\"receiver.inbound_fps\"], " + Num(th.fps_high) +
-             ", " + Num(th.fps_low) + ")";
-    case EventType::kOutboundFpsDrop:
-      return "_fps_drop(w[\"sender.outbound_fps\"], " + Num(th.fps_high) +
-             ", " + Num(th.fps_low) + ")";
-    case EventType::kResolutionDrop:
-      return "dsl_has_drop(w[\"sender.outbound_resolution\"])";
-    case EventType::kJitterBufferDrain:
-      return "dsl_min(w[\"receiver.jitter_buffer_ms\"]) <= " +
-             Num(th.jb_drain_ms) +
-             " and len(w[\"receiver.jitter_buffer_ms\"]) > 0";
-    case EventType::kTargetBitrateDrop:
-      return "_rel_drop(w[\"sender.target_bitrate\"], " +
-             Num(th.bitrate_drop_frac) + ")";
-    case EventType::kGccOveruse:
-      return "dsl_max(w[\"sender.overuse\"]) > 0.5";
-    case EventType::kPushbackDrop:
-      return "_rel_drop(w[\"sender.pushback_rate\"], " +
-             Num(th.bitrate_drop_frac) + ")";
-    case EventType::kCwndFull:
-      return "dsl_any_gt(w[\"sender.outstanding_bytes\"], "
-             "w[\"sender.cwnd_bytes\"])";
-    case EventType::kOutstandingUp:
-      return "dsl_trend_up(w[\"sender.outstanding_bytes\"])";
-    case EventType::kPushbackNeqTarget:
-      return "any(abs(t - p) > 1e-3 * t for t, p in "
-             "zip(w[\"sender.target_bitrate\"], w[\"sender.pushback_rate\"]))";
-    case EventType::kFwdDelayUp:
-      return "dsl_max(w[\"fwd.owd_ms\"]) > " + Num(th.delay_up_min_ms) +
-             " and dsl_trend_up(w[\"fwd.owd_ms\"])";
-    case EventType::kRevDelayUp:
-      return "dsl_max(w[\"rev.owd_ms\"]) > " + Num(th.delay_up_min_ms) +
-             " and dsl_trend_up(w[\"rev.owd_ms\"])";
-    case EventType::kTbsDrop:
-      return "len(" + dir_series("tbs") + ") > 0 and dsl_min(" +
-             dir_series("tbs") + ") < " + Num(th.tbs_drop_frac) +
-             " * dsl_max(" + dir_series("tbs") + ")";
-    case EventType::kRateGap:
-      return "dsl_frac_gt(" + dir_series("app_bitrate") + ", " +
-             dir_series("tbs_bitrate") + ") > " + Num(th.rate_gap_frac);
-    case EventType::kCrossTraffic:
-      return "dsl_sum(" + dir_series("prb_other") + ") >= " +
-             Num(th.cross_traffic_min_prbs) + " and dsl_sum(" +
-             dir_series("prb_other") + ") > " + Num(th.cross_traffic_frac) +
-             " * dsl_sum(" + dir_series("prb_self") + ")";
-    case EventType::kChannelDegrade:
-      return "dsl_p(_buckets(" + dir_series("mcs") + "), 90) < " +
-             Num(th.mcs_p90_max) + " and dsl_count_below(_buckets(" +
-             dir_series("mcs") + "), " + Num(th.mcs_low) + ") > " +
-             Num(th.mcs_low_count);
-    case EventType::kHarqRetx:
-      return "len(" + dir_series("harq_retx") + ") > " +
-             Num(th.harq_retx_count);
-    case EventType::kRlcRetx:
-      return "len(" + dir_series("rlc_retx") + ") > 0";
-    case EventType::kUlScheduling:
-      return "w.get(\"" + leg + ".is_uplink\", False) and len(" +
-             dir_series("prb_self") + ") > 0";
-    case EventType::kRrcChange:
-      return "len(set(" + dir_series("rnti") + ")) > 1";
-  }
-  return "False";
-}
 
 std::string GeneratePython(const DominoConfigFile& cfg,
                            const EventThresholds& th) {
@@ -200,18 +113,16 @@ std::string GeneratePython(const DominoConfigFile& cfg,
   for (const auto& chain : cfg.chains) {
     for (const auto& node : chain.nodes) {
       if (emitted.count(node) > 0) continue;
-      std::string base = node;
-      PathLeg leg = PathLeg::kFwd;
-      auto pos = node.find("@rev");
-      if (pos != std::string::npos) {
-        base = node.substr(0, pos);
-        leg = PathLeg::kRev;
-      }
+      auto [base, leg] = SplitNodeLeg(node);
       auto type = EventTypeFromName(base);
       if (!type.has_value()) continue;  // custom or pre-existing node
+      const Prelude& prelude = Prelude::For(th);
+      const Condition& cond = prelude.Get(EventRef{*type, leg});
+      const bool swapped = &cond != &prelude.Get(EventRef{*type});
       os << "def detect_" << PyName(node) << "(w):\n"
-         << "    return bool(" << PythonForBuiltin(EventRef{*type, leg}, th)
-         << ")\n\n";
+         << "    # " << prelude.text(*type)
+         << (swapped ? "  (fwd/rev swapped)" : "") << "\n"
+         << "    return bool(" << cond.expr().ToPython() << ")\n\n";
       emitted.insert(node);
     }
   }

@@ -2,7 +2,10 @@
 // into a runnable, self-contained Python detector module.
 //
 // The generated module expects each window `w` as a dict mapping
-// "scope.series" names (see expr.h) to lists of floats, and exposes:
+// "scope.series" names (see expr.h) to lists of floats, "scope.series@t"
+// to the sample times (integer microseconds since the window start; read
+// by argmin/argmax and time-bucketed functions), "fwd.is_uplink" /
+// "rev.is_uplink" to booleans and "has_gnb_log" to a boolean. It exposes:
 //   DETECTORS      — {node name: detector function}
 //   CHAINS         — [(chain name, [node names...]), ...]
 //   detect_chain(w, nodes) / analyze(windows)
@@ -15,13 +18,10 @@
 namespace domino::analysis {
 
 /// Generates the Python module for a parsed config. Built-in events
-/// referenced by chains are emitted as Python too, so the module runs
-/// without any C++ dependency.
+/// referenced by chains are emitted from their prelude entries (prelude.h)
+/// exactly as custom events are, so the module runs without any C++
+/// dependency.
 std::string GeneratePython(const DominoConfigFile& cfg,
                            const EventThresholds& th = {});
-
-/// Python expression implementing one built-in event over window `w`
-/// (series scoped by the node's leg). Exposed for tests.
-std::string PythonForBuiltin(const EventRef& ref, const EventThresholds& th);
 
 }  // namespace domino::analysis

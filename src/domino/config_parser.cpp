@@ -1,11 +1,14 @@
 #include "domino/config_parser.h"
 
 #include <algorithm>
+#include <array>
 #include <cctype>
+#include <memory>
 #include <utility>
 
 #include "domino/lint/schema.h"
 #include "domino/lint/suggest.h"
+#include "domino/prelude.h"
 
 namespace domino::analysis {
 
@@ -364,11 +367,12 @@ void ExtendGraphUnchecked(CausalGraph& graph, const DominoConfigFile& cfg,
           throw DslError("custom event '" + base +
                          "' has no valid expression");
         }
+        auto cond = std::make_shared<const Condition>(def->expr);
         Node n;
         n.name = name;
         n.kind = kind;
-        n.detect = [expr = def->expr](const WindowContext& ctx) {
-          return EvalCondition(*expr, ctx);
+        n.detect = [cond](const WindowContext& ctx) {
+          return cond->Eval(ctx);
         };
         // Stream use for the detector's data-quality gating: the declared
         // `requires` mask when present, else inferred from the condition.
@@ -379,12 +383,10 @@ void ExtendGraphUnchecked(CausalGraph& graph, const DominoConfigFile& cfg,
                 declared | (1u << static_cast<unsigned>(*id)));
           }
         }
-        if (declared != 0) {
-          n.custom_streams = {declared, declared};
-        } else {
-          n.custom_streams = {lint::InferStreamUse(*def->expr, 0),
-                              lint::InferStreamUse(*def->expr, 1)};
-        }
+        n.streams = declared != 0
+                        ? std::array<StreamMask, 2>{declared, declared}
+                        : std::array<StreamMask, 2>{cond->streams(0),
+                                                    cond->streams(1)};
         graph.AddNode(std::move(n));
       } else if (auto type = EventTypeFromName(base)) {
         graph.AddBuiltinNode(name, kind, EventRef{*type, leg}, th);

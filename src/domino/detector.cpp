@@ -22,13 +22,6 @@ Detector::Detector(CausalGraph graph, DominoConfig cfg)
   }
   graph_.Validate();
   chains_ = graph_.EnumerateChains();
-  node_shares_memo_.resize(graph_.node_count(), 0);
-  for (std::size_t n = 0; n < graph_.node_count(); ++n) {
-    const Node& node = graph_.node(static_cast<int>(n));
-    node_shares_memo_[n] = node.builtin.has_value() &&
-                           node.builtin_thresholds.has_value() &&
-                           *node.builtin_thresholds == cfg_.thresholds;
-  }
 }
 
 WindowResult Detector::AnalyzeWindow(const telemetry::DerivedTrace& trace,
@@ -43,10 +36,7 @@ WindowResult Detector::AnalyzeWindow(const telemetry::DerivedTrace& trace,
   result.begin = begin;
   Time end = begin + cfg_.window;
 
-  if (cache != nullptr) {
-    cache->BeginWindow(begin, end);
-    cache->set_memo_thresholds(&cfg_.thresholds);
-  }
+  if (cache != nullptr) cache->BeginWindow(begin, end);
 
   if (cfg_.extract_features) {
     result.features =
@@ -57,29 +47,22 @@ WindowResult Detector::AnalyzeWindow(const telemetry::DerivedTrace& trace,
     WindowContext ctx(trace, begin, end, p, cache);
     auto& active = result.node_active[static_cast<std::size_t>(p)];
     active.resize(graph_.node_count());
+    // Built-in nodes and the feature extractor share conditions when their
+    // thresholds are equal (one interned prelude), so the memo evaluates
+    // each condition once per window and perspective.
     for (std::size_t n = 0; n < graph_.node_count(); ++n) {
-      const Node& node = graph_.node(static_cast<int>(n));
-      // Memo-sharing nodes go through DetectEvent with the detector's own
-      // thresholds so their result is computed once per window even when
-      // the same event also appears in the feature vector or other nodes.
-      active[n] = node_shares_memo_[n]
-                      ? DetectEvent(*node.builtin, ctx, cfg_.thresholds)
-                      : node.detect(ctx);
+      active[n] = graph_.node(static_cast<int>(n)).detect(ctx);
     }
     // Per-node data-quality confidence for this window: min coverage over
-    // the streams the node's condition reads — RequiredStreams for
-    // built-ins, the declared/inferred custom_streams mask for DSL nodes.
-    // A zero custom mask means "unknown" and stays at 1 (no downgrade).
+    // the streams the node's condition reads. A zero mask means "unknown"
+    // and stays at 1 (no downgrade).
     // Pure trace arithmetic — identical on the naive and incremental paths.
     std::vector<double> node_conf;
     if (trace.quality.present) {
       node_conf.resize(graph_.node_count(), 1.0);
       for (std::size_t n = 0; n < graph_.node_count(); ++n) {
-        const Node& node = graph_.node(static_cast<int>(n));
-        StreamMask mask =
-            node.builtin.has_value()
-                ? RequiredStreams(*node.builtin, p)
-                : node.custom_streams[static_cast<std::size_t>(p)];
+        StreamMask mask = graph_.node(static_cast<int>(n))
+                              .streams[static_cast<std::size_t>(p)];
         if (mask == 0) continue;
         double conf = 1.0;
         for (std::size_t s = 0; s < telemetry::kStreamCount; ++s) {

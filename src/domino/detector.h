@@ -19,7 +19,7 @@ struct DominoConfig {
                                  ///< window; disable for chain-only runs.
   /// Use the incremental sliding-window engine (incremental.h): monotone
   /// series cursors + O(1) amortised window aggregates + a per-window
-  /// detection memo. Off = the naive re-slice/re-scan path, kept for parity
+  /// condition memo. Off = the naive re-slice/re-scan path, kept for parity
   /// testing and benchmarking.
   bool incremental = true;
   /// Window fan-out width for Detector::Analyze (and large streaming
@@ -107,9 +107,6 @@ class Detector {
   CausalGraph graph_;
   DominoConfig cfg_;
   std::vector<ChainPath> chains_;
-  /// Nodes whose built-in detection (event + thresholds) matches what the
-  /// feature extractor computes — eligible for the shared per-window memo.
-  std::vector<char> node_shares_memo_;
 };
 
 }  // namespace domino::analysis

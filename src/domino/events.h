@@ -1,5 +1,6 @@
 // Domino event model: the 20 event types of Table 5 / Appendix D, their
-// scoping rules, and the built-in window detection conditions.
+// scoping rules, and the window they are evaluated over. The conditions
+// themselves are DSL text in the prelude (prelude.h).
 //
 // Events are *typed conditions*; a concrete feature is an event type bound
 // to a scope (which client, or which 5G direction) and evaluated over one
@@ -87,6 +88,9 @@ struct EventThresholds {
 
 class WindowStatsCache;  // incremental.h
 
+/// Comparison kinds for threshold counts (DSL count_below / count_above).
+enum class CountOp : std::uint8_t { kBelow, kAbove };
+
 /// One sliding window over the derived trace, bound to a perspective.
 ///
 /// Perspective: `sender_client` = 0 analyses the UE's outbound media (the
@@ -148,10 +152,9 @@ class WindowContext {
   [[nodiscard]] Time SeriesArgMax(const TimeSeries<double>& s) const;
   [[nodiscard]] double SeriesSum(const TimeSeries<double>& s) const;
   [[nodiscard]] double SeriesMean(const TimeSeries<double>& s) const;
-  [[nodiscard]] std::size_t SeriesCountBelow(const TimeSeries<double>& s,
-                                             double x) const;
-  [[nodiscard]] std::size_t SeriesCountAbove(const TimeSeries<double>& s,
-                                             double x) const;
+  /// Samples with value < x (kBelow) or > x (kAbove).
+  [[nodiscard]] std::size_t SeriesCountCmp(const TimeSeries<double>& s,
+                                           CountOp op, double x) const;
   /// TimeBucketMeans of the window, bucket edges at begin() + k * width.
   [[nodiscard]] std::vector<double> SeriesTimeBuckets(
       const TimeSeries<double>& s, Duration width) const;
@@ -164,8 +167,8 @@ class WindowContext {
   WindowStatsCache* cache_ = nullptr;
 };
 
-/// Evaluates the built-in condition for `ref` over the window. Implements
-/// Table 5 / Appendix D exactly (see EventThresholds for the constants).
+/// Evaluates the built-in condition for `ref` over the window: the prelude
+/// entry for `th` (prelude.h), memoised when `ctx` rides a cache.
 bool DetectEvent(const EventRef& ref, const WindowContext& ctx,
                  const EventThresholds& th);
 
@@ -173,7 +176,8 @@ bool DetectEvent(const EventRef& ref, const WindowContext& ctx,
 using StreamMask = std::uint8_t;
 
 /// The streams whose data the built-in condition for `ref` reads, resolved
-/// for the given perspective. This drives graceful degradation: a detected
+/// for the given perspective (lint::InferStreamUse over its prelude
+/// entry). This drives graceful degradation: a detected
 /// chain is only as trustworthy as the window coverage of the streams its
 /// nodes observed, so low-coverage windows downgrade to "insufficient
 /// evidence" instead of asserting a root cause.

@@ -16,14 +16,6 @@
 
 namespace domino::analysis {
 
-WindowView<double> ExprNode::EvalSeries(const WindowContext&) const {
-  throw DslError("expression is scalar-valued where a series was expected");
-}
-
-const TimeSeries<double>* ExprNode::SourceSeries(const WindowContext&) const {
-  return nullptr;
-}
-
 namespace {
 
 using lint::DiagnosticSink;
@@ -224,74 +216,148 @@ class NumberNode : public ExprNode {
  public:
   explicit NumberNode(double v) : v_(v) {}
   double EvalScalar(const WindowContext&) const override { return v_; }
-  std::string ToPython() const override { return FormatNum(v_); }
+  std::string ToPython() const override { return DslLiteral(v_); }
   void Accept(ExprVisitor& v) const override { v.VisitNumber(*this, v_); }
 
  private:
   double v_;
 };
 
+/// Scope tokens, in KnownScopes() order.
+enum class Scope : std::uint8_t { kFwd, kRev, kUl, kDl, kSender, kReceiver,
+                                  kUe, kRemote };
+constexpr const char* kScopeNames[] = {"fwd",    "rev",      "ul", "dl",
+                                       "sender", "receiver", "ue", "remote"};
+
+/// A `scope.name` reference, bound at parse time to its scope kind and the
+/// DerivedTrace member its schema row names, so evaluation never compares
+/// strings.
 class SeriesNode : public ExprNode {
  public:
-  SeriesNode(std::string scope, std::string name)
-      : scope_(std::move(scope)), name_(std::move(name)) {}
-
-  bool is_series() const override { return true; }
+  SeriesNode(Scope scope, const lint::SeriesSchema& row)
+      : scope_(scope), row_(&row) {}
 
   double EvalScalar(const WindowContext&) const override {
-    throw DslError("series '" + scope_ + "." + name_ +
+    throw DslError("series '" + Name() +
                    "' used where a scalar was expected");
   }
 
-  WindowView<double> EvalSeries(const WindowContext& ctx) const override {
-    const TimeSeries<double>* s = Resolve(ctx);
-    return ctx.View(*s);
+  [[nodiscard]] const TimeSeries<double>& Resolve(
+      const WindowContext& ctx) const {
+    const telemetry::DerivedTrace& t = ctx.trace();
+    switch (scope_) {
+      case Scope::kFwd: return ctx.Dir(PathLeg::kFwd).*row_->dir_member;
+      case Scope::kRev: return ctx.Dir(PathLeg::kRev).*row_->dir_member;
+      case Scope::kUl: return t.dir[0].*row_->dir_member;
+      case Scope::kDl: return t.dir[1].*row_->dir_member;
+      case Scope::kSender: return ctx.Sender().*row_->client_member;
+      case Scope::kReceiver: return ctx.Receiver().*row_->client_member;
+      case Scope::kUe: return t.client[0].*row_->client_member;
+      case Scope::kRemote: break;
+    }
+    return t.client[1].*row_->client_member;
   }
 
-  const TimeSeries<double>* SourceSeries(
-      const WindowContext& ctx) const override {
-    return Resolve(ctx);
+  /// A 5G direction series on the uplink in this window's perspective.
+  [[nodiscard]] bool IsUplink(const WindowContext& ctx) const {
+    if (!IsLeg()) return scope_ == Scope::kUl;
+    return ctx.DirIndex(scope_ == Scope::kFwd ? PathLeg::kFwd
+                                              : PathLeg::kRev) == 0;
+  }
+  /// The capture carries the series' source stream; only the gNB log can
+  /// be missing (DerivedTrace::has_gnb_log).
+  [[nodiscard]] bool Captured(const WindowContext& ctx) const {
+    return !FromGnbLog() || ctx.trace().has_gnb_log;
   }
 
-  std::string ToPython() const override {
-    return "w[\"" + scope_ + "." + name_ + "\"]";
+  // Python for the values, sample times, IsUplink() and Captured() (the
+  // window contract in codegen.h).
+  std::string ToPython() const override { return "w[\"" + Name() + "\"]"; }
+  [[nodiscard]] std::string TimesPython() const {
+    return "w[\"" + Name() + "@t\"]";
+  }
+  [[nodiscard]] std::string IsUplinkPython() const {
+    if (IsLeg()) return "w[\"" + ScopeName() + ".is_uplink\"]";
+    return scope_ == Scope::kUl ? "True" : "False";
+  }
+  [[nodiscard]] std::string CapturedPython() const {
+    return FromGnbLog() ? "w[\"has_gnb_log\"]" : "True";
   }
 
   void Accept(ExprVisitor& v) const override {
-    v.VisitSeries(*this, scope_, name_);
+    v.VisitSeries(*this, ScopeName(), row_->name);
   }
 
  private:
-  const TimeSeries<double>* Resolve(const WindowContext& ctx) const;
+  [[nodiscard]] bool IsLeg() const {
+    return scope_ == Scope::kFwd || scope_ == Scope::kRev;
+  }
+  [[nodiscard]] bool FromGnbLog() const {
+    return row_->source == lint::SourceFeed::kGnbLog;
+  }
+  [[nodiscard]] std::string ScopeName() const {
+    return kScopeNames[static_cast<std::size_t>(scope_)];
+  }
+  [[nodiscard]] std::string Name() const {
+    return ScopeName() + "." + row_->name;
+  }
 
-  std::string scope_;
-  std::string name_;
+  Scope scope_;
+  const lint::SeriesSchema* row_;
 };
 
 enum class Func {
-  kMin, kMax, kMean, kStdDev, kSum, kCount, kFirst, kLast, kPercentile,
-  kCountBelow, kCountAbove, kHasDrop, kHasRise, kTrendUp, kTrendDown,
-  kFracGt, kAnyGt,
+  kMin, kMax, kMean, kStdDev, kSum, kCount, kFirst, kLast, kArgMin, kArgMax,
+  kPercentile, kCountBelow, kCountAbove, kHasDrop, kHasRise, kTrendUp,
+  kTrendDown, kFracGt, kCountGt, kPairs, kAnyGt, kAnyLt, kAnyOverCap,
+  kAnyMismatch, kIsUplink, kCaptured,
+};
+
+/// What a call yields, for the front-end's range/unit synthesis.
+enum class Yields : std::uint8_t {
+  kSeriesUnit,  ///< A value in the first series' unit (min, p, sum, ...).
+  kCount,       ///< A count: [0, inf), unit count.
+  kMs,          ///< A window offset: [0, inf) milliseconds.
+  kFraction,    ///< [0, 1], unitless.
+  kBool,        ///< A truth value.
 };
 
 struct FuncInfo {
   Func id;
   const char* name;
-  int series_args;  ///< Leading series arguments.
-  int scalar_args;  ///< Trailing scalar arguments.
+  Yields yields;
+  int series_args;        ///< Leading series arguments.
+  int scalar_args;        ///< Required trailing scalar arguments.
+  int optional_args = 0;  ///< Scalar arguments that may follow them.
 };
 
 constexpr FuncInfo kFuncs[] = {
-    {Func::kMin, "min", 1, 0},          {Func::kMax, "max", 1, 0},
-    {Func::kMean, "mean", 1, 0},        {Func::kStdDev, "stddev", 1, 0},
-    {Func::kSum, "sum", 1, 0},          {Func::kFirst, "first", 1, 0},
-    {Func::kLast, "last", 1, 0},
-    {Func::kCount, "count", 1, 0},      {Func::kPercentile, "p", 1, 1},
-    {Func::kCountBelow, "count_below", 1, 1},
-    {Func::kCountAbove, "count_above", 1, 1},
-    {Func::kHasDrop, "has_drop", 1, 0}, {Func::kHasRise, "has_rise", 1, 0},
-    {Func::kTrendUp, "trend_up", 1, 0}, {Func::kTrendDown, "trend_down", 1, 0},
-    {Func::kFracGt, "frac_gt", 2, 0},   {Func::kAnyGt, "any_gt", 2, 0},
+    {Func::kMin, "min", Yields::kSeriesUnit, 1, 0},
+    {Func::kMax, "max", Yields::kSeriesUnit, 1, 0},
+    {Func::kMean, "mean", Yields::kSeriesUnit, 1, 0},
+    {Func::kStdDev, "stddev", Yields::kSeriesUnit, 1, 0},
+    {Func::kSum, "sum", Yields::kSeriesUnit, 1, 0},
+    {Func::kFirst, "first", Yields::kSeriesUnit, 1, 0},
+    {Func::kLast, "last", Yields::kSeriesUnit, 1, 0},
+    {Func::kCount, "count", Yields::kCount, 1, 0, 1},
+    {Func::kArgMin, "argmin", Yields::kMs, 1, 0},
+    {Func::kArgMax, "argmax", Yields::kMs, 1, 0},
+    {Func::kPercentile, "p", Yields::kSeriesUnit, 1, 1, 1},
+    {Func::kCountBelow, "count_below", Yields::kCount, 1, 1, 1},
+    {Func::kCountAbove, "count_above", Yields::kCount, 1, 1, 1},
+    {Func::kHasDrop, "has_drop", Yields::kBool, 1, 0, 1},
+    {Func::kHasRise, "has_rise", Yields::kBool, 1, 0},
+    {Func::kTrendUp, "trend_up", Yields::kBool, 1, 0, 2},
+    {Func::kTrendDown, "trend_down", Yields::kBool, 1, 0},
+    {Func::kFracGt, "frac_gt", Yields::kFraction, 2, 0},
+    {Func::kCountGt, "count_gt", Yields::kCount, 2, 0},
+    {Func::kPairs, "pairs", Yields::kCount, 2, 0},
+    {Func::kAnyGt, "any_gt", Yields::kBool, 2, 0},
+    {Func::kAnyLt, "any_lt", Yields::kBool, 2, 0, 1},
+    {Func::kAnyOverCap, "any_over_cap", Yields::kBool, 2, 0},
+    {Func::kAnyMismatch, "any_mismatch", Yields::kBool, 2, 1},
+    {Func::kIsUplink, "is_uplink", Yields::kBool, 1, 0},
+    {Func::kCaptured, "captured", Yields::kBool, 1, 0},
 };
 
 const FuncInfo* FindFunc(const std::string& name) {
@@ -301,6 +367,11 @@ const FuncInfo* FindFunc(const std::string& name) {
   return nullptr;
 }
 
+/// Offset of `t` from the window start in milliseconds.
+double MsSince(Time begin, Time t) {
+  return static_cast<double>((t - begin).micros()) / 1000.0;
+}
+
 class FuncNode : public ExprNode {
  public:
   FuncNode(const FuncInfo& info, std::vector<ExprPtr> series,
@@ -308,116 +379,144 @@ class FuncNode : public ExprNode {
       : info_(info), series_(std::move(series)), scalars_(std::move(scalars)) {}
 
   double EvalScalar(const WindowContext& ctx) const override {
-    // Aggregates over a plain series reference ride the window aggregates
-    // (O(1) amortised under the incremental engine, identical results).
-    if (const TimeSeries<double>* src = series_[0]->SourceSeries(ctx)) {
-      switch (info_.id) {
-        case Func::kMin:
-          return ctx.SeriesCount(*src) == 0 ? 0.0 : ctx.SeriesMin(*src);
-        case Func::kMax:
-          return ctx.SeriesCount(*src) == 0 ? 0.0 : ctx.SeriesMax(*src);
-        case Func::kMean:
-          return ctx.SeriesCount(*src) == 0 ? 0.0 : ctx.SeriesMean(*src);
-        case Func::kSum:
-          return ctx.SeriesSum(*src);
-        case Func::kCount:
-          return static_cast<double>(ctx.SeriesCount(*src));
-        case Func::kCountBelow:
-          return static_cast<double>(
-              ctx.SeriesCountBelow(*src, scalars_[0]->EvalScalar(ctx)));
-        case Func::kCountAbove:
-          return static_cast<double>(
-              ctx.SeriesCountAbove(*src, scalars_[0]->EvalScalar(ctx)));
-        default:
-          break;  // view-based evaluation below
-      }
-    }
-    auto s0 = series_[0]->EvalSeries(ctx);
+    // Aggregates ride the window aggregates (O(1) amortised under the
+    // incremental engine); the rest scan the window's view.
+    const TimeSeries<double>& src = Series(0).Resolve(ctx);
     switch (info_.id) {
       case Func::kMin:
-        return s0.empty() ? 0.0 : s0.Min();
       case Func::kMax:
-        return s0.empty() ? 0.0 : s0.Max();
       case Func::kMean:
-        return s0.empty() ? 0.0 : s0.Mean();
-      case Func::kStdDev: {
-        if (s0.size() < 2) return 0.0;
-        std::vector<double> v;
-        v.reserve(s0.size());
-        for (const auto& smp : s0) v.push_back(smp.value);
-        return StdDev(v);
-      }
-      case Func::kFirst:
-        return s0.empty() ? 0.0 : s0[0].value;
-      case Func::kLast:
-        return s0.empty() ? 0.0 : s0[s0.size() - 1].value;
+      case Func::kArgMin:
+      case Func::kArgMax:
+        if (ctx.SeriesCount(src) == 0) return 0.0;  // empty-window default
+        if (info_.id == Func::kMin) return ctx.SeriesMin(src);
+        if (info_.id == Func::kMax) return ctx.SeriesMax(src);
+        if (info_.id == Func::kMean) return ctx.SeriesMean(src);
+        return MsSince(ctx.begin(), info_.id == Func::kArgMin
+                                        ? ctx.SeriesArgMin(src)
+                                        : ctx.SeriesArgMax(src));
       case Func::kSum:
-        return s0.Sum();
+        return ctx.SeriesSum(src);
       case Func::kCount:
-        return static_cast<double>(s0.size());
-      case Func::kPercentile: {
-        std::vector<double> v;
-        v.reserve(s0.size());
-        for (const auto& s : s0) v.push_back(s.value);
-        return Percentile(std::move(v), scalars_[0]->EvalScalar(ctx));
-      }
-      case Func::kCountBelow: {
-        double x = scalars_[0]->EvalScalar(ctx);
-        return static_cast<double>(
-            s0.CountIf([x](double v) { return v < x; }));
-      }
+        if (TimeBucketed()) {
+          return static_cast<double>(Buckets(ctx, src).size());
+        }
+        return static_cast<double>(ctx.SeriesCount(src));
+      case Func::kCountBelow:
       case Func::kCountAbove: {
-        double x = scalars_[0]->EvalScalar(ctx);
-        return static_cast<double>(
-            s0.CountIf([x](double v) { return v > x; }));
+        const double x = Arg(ctx, 0, 0.0);
+        const CountOp op =
+            info_.id == Func::kCountBelow ? CountOp::kBelow : CountOp::kAbove;
+        if (!TimeBucketed()) {
+          return static_cast<double>(ctx.SeriesCountCmp(src, op, x));
+        }
+        std::size_t n = 0;
+        for (double b : Buckets(ctx, src)) {
+          if (op == CountOp::kBelow ? b < x : b > x) ++n;
+        }
+        return static_cast<double>(n);
       }
+      case Func::kPercentile: {
+        const double q = Arg(ctx, 0, 0.0);
+        if (TimeBucketed()) return Percentile(Buckets(ctx, src), q);
+        std::span<const double> v = ctx.View(src).values();
+        return Percentile(std::vector<double>(v.begin(), v.end()), q);
+      }
+      case Func::kPairs:
+        return static_cast<double>(std::min(
+            ctx.SeriesCount(src), ctx.SeriesCount(Series(1).Resolve(ctx))));
+      case Func::kIsUplink:
+        return Series(0).IsUplink(ctx) ? 1.0 : 0.0;
+      case Func::kCaptured:
+        return Series(0).Captured(ctx) ? 1.0 : 0.0;
+      default:
+        break;
+    }
+    std::span<const double> v = ctx.View(src).values();
+    switch (info_.id) {
+      case Func::kStdDev:
+        if (v.size() < 2) return 0.0;
+        return StdDev(std::vector<double>(v.begin(), v.end()));
+      case Func::kFirst:
+        return v.empty() ? 0.0 : v.front();
+      case Func::kLast:
+        return v.empty() ? 0.0 : v.back();
       case Func::kHasDrop:
-        return s0.HasDecreasingStep() ? 1.0 : 0.0;
-      case Func::kHasRise:
-        return s0.HasIncreasingStep() ? 1.0 : 0.0;
-      case Func::kTrendUp:
-      case Func::kTrendDown: {
-        auto means = BucketMeans(s0, 10);
-        for (std::size_t k = 0; k + 1 < means.size(); ++k) {
-          if (info_.id == Func::kTrendUp && means[k + 1] > means[k]) {
-            return 1.0;
-          }
-          if (info_.id == Func::kTrendDown && means[k + 1] < means[k]) {
-            return 1.0;
-          }
+      case Func::kHasRise: {
+        // Exactly `next < prev` at the default f = 0 (x * 1.0 == x).
+        const bool drop = info_.id == Func::kHasDrop;
+        const double k = drop ? 1.0 - Arg(ctx, 0, 0.0) : 1.0;
+        for (std::size_t i = 0; i + 1 < v.size(); ++i) {
+          if (drop ? v[i + 1] < v[i] * k : v[i + 1] > v[i] * k) return 1.0;
         }
         return 0.0;
       }
-      case Func::kFracGt:
-      case Func::kAnyGt: {
-        auto s1 = series_[1]->EvalSeries(ctx);
-        std::size_t n = std::min(s0.size(), s1.size());
-        if (n == 0) return 0.0;
-        std::size_t cnt = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          if (s0[i].value > s1[i].value) ++cnt;
+      case Func::kTrendUp:
+      case Func::kTrendDown: {
+        const double n = Arg(ctx, 0, 10.0);
+        const double k = Arg(ctx, 1, 1.0);
+        if (!(n >= 1) || n > 1e15) return 0.0;  // no whole bucket
+        auto m = BucketMeans(ctx.View(src), static_cast<std::size_t>(n));
+        const bool up = info_.id == Func::kTrendUp;
+        for (std::size_t j = 0; j + 1 < m.size(); ++j) {
+          if (up ? m[j + 1] > m[j] * k : m[j + 1] < m[j] * k) return 1.0;
         }
-        if (info_.id == Func::kAnyGt) return cnt > 0 ? 1.0 : 0.0;
-        return static_cast<double>(cnt) / static_cast<double>(n);
+        return 0.0;
       }
+      default:
+        break;
     }
-    return 0.0;
+    // Paired element-wise functions: the first min(count) samples of each.
+    std::span<const double> b = ctx.View(Series(1).Resolve(ctx)).values();
+    const std::size_t n = std::min(v.size(), b.size());
+    std::size_t hits = 0;
+    const double k = Arg(ctx, 0, info_.id == Func::kAnyMismatch ? 0.0 : 1.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      switch (info_.id) {
+        case Func::kAnyLt: hits += v[i] < k * b[i]; break;
+        case Func::kAnyOverCap: hits += b[i] > 0 && v[i] > b[i]; break;
+        case Func::kAnyMismatch: hits += std::fabs(v[i] - b[i]) > k * v[i];
+          break;
+        case Func::kAnyGt: hits += v[i] > k * b[i]; break;
+        default: hits += v[i] > b[i]; break;  // frac_gt, count_gt
+      }
+      if (hits > 0 && info_.yields == Yields::kBool) return 1.0;
+    }
+    if (info_.id == Func::kFracGt) {
+      return n == 0 ? 0.0 : static_cast<double>(hits) / static_cast<double>(n);
+    }
+    return static_cast<double>(hits);
   }
 
   std::string ToPython() const override {
-    std::string out = std::string("dsl_") + info_.name + "(";
-    bool first = true;
+    const SeriesNode& s0 = Series(0);
+    switch (info_.id) {
+      case Func::kIsUplink:
+        return s0.IsUplinkPython();
+      case Func::kCaptured:
+        return s0.CapturedPython();
+      case Func::kArgMin:
+      case Func::kArgMax:
+        return Call(s0.ToPython() + ", " + s0.TimesPython());
+      default:
+        break;
+    }
+    if (TimeBucketed()) {
+      // The width (last argument) feeds _time_buckets, not the function.
+      std::string lead = "_time_buckets(" + s0.ToPython() + ", " +
+                         s0.TimesPython() + ", " +
+                         scalars_.back()->ToPython() + ")";
+      for (std::size_t i = 0; i + 1 < scalars_.size(); ++i) {
+        lead += ", " + scalars_[i]->ToPython();
+      }
+      return std::string("dsl_") + info_.name + "(" + lead + ")";
+    }
+    std::string args;
     for (const auto& a : series_) {
-      if (!first) out += ", ";
-      out += a->ToPython();
-      first = false;
+      if (!args.empty()) args += ", ";
+      args += a->ToPython();
     }
-    for (const auto& a : scalars_) {
-      if (!first) out += ", ";
-      out += a->ToPython();
-      first = false;
-    }
-    return out + ")";
+    return Call(args);
   }
 
   void Accept(ExprVisitor& v) const override {
@@ -425,6 +524,42 @@ class FuncNode : public ExprNode {
   }
 
  private:
+  /// Series arguments are always `scope.name` references (the parser
+  /// rejects anything else).
+  [[nodiscard]] const SeriesNode& Series(std::size_t i) const {
+    return static_cast<const SeriesNode&>(*series_[i]);
+  }
+
+  /// Scalar argument i, or `def` when the optional argument was omitted.
+  [[nodiscard]] double Arg(const WindowContext& ctx, std::size_t i,
+                           double def) const {
+    return i < scalars_.size() ? scalars_[i]->EvalScalar(ctx) : def;
+  }
+
+  /// count, count_below, count_above or p given a bucket width (the
+  /// optional last argument): they read time-bucket means.
+  [[nodiscard]] bool TimeBucketed() const {
+    return info_.yields != Yields::kBool && info_.optional_args > 0 &&
+           scalars_.size() > static_cast<std::size_t>(info_.scalar_args);
+  }
+
+  /// Means of the window's time buckets, width = the last scalar (ms).
+  [[nodiscard]] std::vector<double> Buckets(const WindowContext& ctx,
+                                            const TimeSeries<double>& s) const {
+    const double us = std::round(scalars_.back()->EvalScalar(ctx) * 1000.0);
+    if (!(us >= 1) || us > 9e15) return {};
+    return ctx.SeriesTimeBuckets(s, Micros(static_cast<std::int64_t>(us)));
+  }
+
+  /// "dsl_<name>(<lead>, <scalar args>)".
+  [[nodiscard]] std::string Call(std::string lead) const {
+    for (std::size_t i = 0; i < scalars_.size(); ++i) {
+      if (!lead.empty()) lead += ", ";
+      lead += scalars_[i]->ToPython();
+    }
+    return std::string("dsl_") + info_.name + "(" + lead + ")";
+  }
+
   FuncInfo info_;
   std::vector<ExprPtr> series_;
   std::vector<ExprPtr> scalars_;
@@ -540,45 +675,6 @@ class BinaryNode : public ExprNode {
 using Unit = lint::Unit;
 using lint::UnitName;
 
-const TimeSeries<double>* ResolveDirSeries(const telemetry::DirectionSeries& d,
-                                           const std::string& name) {
-  if (name == "tbs") return &d.tbs_bytes;
-  if (name == "prb_self") return &d.prb_self;
-  if (name == "prb_other") return &d.prb_other;
-  if (name == "mcs") return &d.mcs;
-  if (name == "harq_retx") return &d.harq_retx;
-  if (name == "rlc_retx") return &d.rlc_retx;
-  if (name == "owd_ms") return &d.owd_ms;
-  if (name == "app_bitrate") return &d.app_bitrate_bps;
-  if (name == "tbs_bitrate") return &d.tbs_bitrate_bps;
-  if (name == "rnti") return &d.rnti;
-  return nullptr;
-}
-
-const TimeSeries<double>* ResolveClientSeries(
-    const telemetry::ClientSeries& c, const std::string& name) {
-  if (name == "inbound_fps") return &c.inbound_fps;
-  if (name == "outbound_fps") return &c.outbound_fps;
-  if (name == "outbound_resolution") return &c.outbound_resolution;
-  if (name == "jitter_buffer_ms") return &c.jitter_buffer_ms;
-  if (name == "target_bitrate") return &c.target_bitrate_bps;
-  if (name == "pushback_rate") return &c.pushback_bitrate_bps;
-  if (name == "outstanding_bytes") return &c.outstanding_bytes;
-  if (name == "cwnd_bytes") return &c.cwnd_bytes;
-  if (name == "overuse") return &c.overuse;
-  return nullptr;
-}
-
-bool IsDirScope(const std::string& s) { return lint::IsDirScopeName(s); }
-bool IsClientScope(const std::string& s) {
-  return lint::IsClientScopeName(s);
-}
-
-const lint::SeriesSchema* FindSeriesEntry(const std::string& scope,
-                                          const std::string& name) {
-  return lint::FindSeriesSchema(scope, name);
-}
-
 // ---------------------------------------------------------------------------
 // Parser with bottom-up semantic synthesis
 // ---------------------------------------------------------------------------
@@ -621,8 +717,12 @@ struct Ann {
 class Parser {
  public:
   Parser(const std::string& src, DiagnosticSink* sink,
-         const InputLimits& limits = {})
-      : src_(src), lexer_(src, sink), sink_(sink), limits_(limits) {}
+         const InputLimits& limits = {}, bool swap_legs = false)
+      : src_(src),
+        lexer_(src, sink),
+        sink_(sink),
+        limits_(limits),
+        swap_legs_(swap_legs) {}
 
   Ann Parse() {
     Ann e = ParseOr();
@@ -905,8 +1005,8 @@ class Parser {
     std::size_t begin = scope.pos;
     std::size_t end = name.pos + name.len;
 
-    bool dir = IsDirScope(scope.text);
-    bool client = IsClientScope(scope.text);
+    bool dir = lint::IsDirScopeName(scope.text);
+    bool client = lint::IsClientScopeName(scope.text);
     if (!dir && !client) {
       std::string hint = lint::DidYouMean(scope.text, KnownScopes());
       Error("DL101", SpanOf(scope),
@@ -915,7 +1015,7 @@ class Parser {
             hint);
       return Poisoned(begin, end, true);
     }
-    const lint::SeriesSchema* entry = FindSeriesEntry(scope.text, name.text);
+    const lint::SeriesSchema* entry = lint::FindSeriesSchema(scope.text, name.text);
     if (entry == nullptr) {
       const char* kind = dir ? "5G" : "client";
       std::vector<std::string> known =
@@ -925,7 +1025,7 @@ class Parser {
                         name.text + "' in scope '" + scope.text + "'" +
                         lint::DidYouMeanSuffix(hint);
       // The name may belong to the other scope kind — say so.
-      if (FindSeriesEntry(dir ? "sender" : "fwd", name.text) != nullptr) {
+      if (lint::FindSeriesSchema(dir ? "sender" : "fwd", name.text) != nullptr) {
         msg += dir ? " ('" + name.text +
                          "' is a client series; use sender/receiver/ue/"
                          "remote)"
@@ -936,7 +1036,13 @@ class Parser {
       return Poisoned(begin, end, true);
     }
     Ann a;
-    auto node = std::make_shared<SeriesNode>(scope.text, name.text);
+    auto scope_it = std::find(std::begin(kScopeNames), std::end(kScopeNames),
+                              std::string_view(scope.text));
+    auto kind = static_cast<Scope>(scope_it - std::begin(kScopeNames));
+    if (swap_legs_ && (kind == Scope::kFwd || kind == Scope::kRev)) {
+      kind = kind == Scope::kFwd ? Scope::kRev : Scope::kFwd;
+    }
+    auto node = std::make_shared<SeriesNode>(kind, *entry);
     node->SetSrcRange(begin, end);
     a.expr = node;
     a.series = true;
@@ -966,15 +1072,21 @@ class Parser {
     }
     end = ExpectClose(args.empty() ? end : args.back().end);
 
-    const int expected = fn.series_args + fn.scalar_args;
-    if (static_cast<int>(args.size()) != expected) {
+    const int required = fn.series_args + fn.scalar_args;
+    const int given = static_cast<int>(args.size());
+    if (given < required || given > required + fn.optional_args) {
+      const std::string want =
+          fn.optional_args == 0
+              ? std::to_string(required)
+              : std::to_string(required) + " to " +
+                    std::to_string(required + fn.optional_args);
       Error("DL112", SpanOf(ident),
-            std::string(fn.name) + " expects " + std::to_string(expected) +
+            std::string(fn.name) + " expects " + want +
                 " argument(s), got " + std::to_string(args.size()));
       return Poisoned(ident.pos, end, false);
     }
     bool poisoned = false;
-    for (int i = 0; i < expected; ++i) {
+    for (int i = 0; i < given; ++i) {
       Ann& a = args[static_cast<std::size_t>(i)];
       poisoned = poisoned || a.poisoned;
       if (a.poisoned) continue;
@@ -989,12 +1101,19 @@ class Parser {
                   " must be a scalar; wrap the series in an aggregate",
               "mean(" + Text(a) + ")");
         poisoned = true;
+      } else if (fn.id == Func::kIsUplink &&
+                 lint::IsClientScopeName(
+                     a.unit_src.substr(0, a.unit_src.find('.')))) {
+        Error("DL104", SpanOfAnn(a),
+              "is_uplink: argument 1 must be a 5G direction series "
+              "(fwd/rev/ul/dl)");
+        poisoned = true;
       }
     }
     if (poisoned) return Poisoned(ident.pos, end, false);
 
     std::vector<ExprPtr> series, scalars;
-    for (int i = 0; i < expected; ++i) {
+    for (int i = 0; i < given; ++i) {
       (i < fn.series_args ? series : scalars)
           .push_back(args[static_cast<std::size_t>(i)].expr);
     }
@@ -1014,32 +1133,24 @@ class Parser {
   void AnnotateCall(const FuncInfo& fn, const std::vector<Ann>& args,
                     const Token& ident, Ann& out) {
     const Ann& s0 = args[0];
-    switch (fn.id) {
-      case Func::kCount:
-      case Func::kCountBelow:
-      case Func::kCountAbove:
+    switch (fn.yields) {
+      case Yields::kCount:
         out.range = KnownRange(0, kInf);
         out.unit = Unit::kCount;
         break;
-      case Func::kFracGt:
+      case Yields::kMs:
+        out.range = KnownRange(0, kInf);
+        out.unit = Unit::kMs;
+        out.unit_src = std::string(fn.name) + "(" + s0.unit_src + ")";
+        break;
+      case Yields::kFraction:
         out.range = KnownRange(0, 1);
         break;
-      case Func::kAnyGt:
-      case Func::kHasDrop:
-      case Func::kHasRise:
-      case Func::kTrendUp:
-      case Func::kTrendDown:
+      case Yields::kBool:
         out.range = KnownRange(0, 1);
         out.boolean = true;
         break;
-      case Func::kMin:
-      case Func::kMax:
-      case Func::kMean:
-      case Func::kFirst:
-      case Func::kLast:
-      case Func::kSum:
-      case Func::kStdDev:
-      case Func::kPercentile:
+      case Yields::kSeriesUnit:
         out.unit = s0.unit;
         out.unit_src = s0.unit_src;
         // A boolean series stays in [0, 1] under order statistics (and the
@@ -1070,8 +1181,8 @@ class Parser {
         }
       }
     }
-    if ((fn.id == Func::kFracGt || fn.id == Func::kAnyGt) &&
-        args[0].unit != Unit::kUnknown && args[1].unit != Unit::kUnknown &&
+    const bool paired_cmp = fn.series_args == 2 && fn.id != Func::kPairs;
+    if (paired_cmp && args[0].unit != Unit::kUnknown && args[1].unit != Unit::kUnknown &&
         args[0].unit != args[1].unit) {
       Warn("DL110", SpanOf(ident),
            std::string(fn.name) + " compares " + args[0].unit_src + " (" +
@@ -1253,39 +1364,24 @@ class Parser {
   std::size_t depth_ = 0;
   std::size_t nodes_ = 0;
   bool budget_blown_ = false;
+  bool swap_legs_ = false;
 };
 
 }  // namespace
 
-const TimeSeries<double>* SeriesNode::Resolve(const WindowContext& ctx) const {
-  if (IsDirScope(scope_)) {
-    const telemetry::DirectionSeries* d = nullptr;
-    if (scope_ == "fwd") {
-      d = &ctx.Dir(PathLeg::kFwd);
-    } else if (scope_ == "rev") {
-      d = &ctx.Dir(PathLeg::kRev);
-    } else if (scope_ == "ul") {
-      d = &ctx.trace().dir[0];
-    } else {
-      d = &ctx.trace().dir[1];
-    }
-    return ResolveDirSeries(*d, name_);
+std::string DslLiteral(double v) {
+  if (std::isnan(v)) return "(1e308 * 10 - 1e308 * 10)";
+  if (std::isinf(v)) return v > 0 ? "(1e308 * 10)" : "(-1e308 * 10)";
+  char buf[32];
+  for (int digits = 15;; ++digits) {
+    std::snprintf(buf, sizeof(buf), "%.*g", digits, std::fabs(v));
+    if (std::strtod(buf, nullptr) == std::fabs(v) || digits == 17) break;
   }
-  const telemetry::ClientSeries* c = nullptr;
-  if (scope_ == "sender") {
-    c = &ctx.Sender();
-  } else if (scope_ == "receiver") {
-    c = &ctx.Receiver();
-  } else if (scope_ == "ue") {
-    c = &ctx.trace().client[0];
-  } else {
-    c = &ctx.trace().client[1];
-  }
-  return ResolveClientSeries(*c, name_);
+  return std::signbit(v) ? "(-" + std::string(buf) + ")" : buf;
 }
 
-ExprPtr ParseExpression(const std::string& text) {
-  Parser p(text, nullptr);
+ExprPtr ParseExpression(const std::string& text, bool swap_legs) {
+  Parser p(text, nullptr, {}, swap_legs);
   return p.Parse().expr;
 }
 
@@ -1317,7 +1413,7 @@ std::vector<std::string> KnownClientSeries() {
   return out;
 }
 std::vector<std::string> KnownScopes() {
-  return {"fwd", "rev", "ul", "dl", "sender", "receiver", "ue", "remote"};
+  return {std::begin(kScopeNames), std::end(kScopeNames)};
 }
 
 }  // namespace domino::analysis

@@ -18,14 +18,29 @@
 //                  jitter_buffer_ms target_bitrate pushback_rate
 //                  outstanding_bytes cwnd_bytes overuse
 //
-// Functions over series:
-//   min max mean stddev sum count first last
-//   p(s,q) count_below(s,x) count_above(s,x)
-//   has_drop has_rise trend_up trend_down   (10-sample bucketed trends)
-//   frac_gt(a,b) any_gt(a,b)                (paired element-wise)
+// Functions over series ([...] = optional argument, [default]):
+//   min max mean stddev sum first last
+//   argmin argmax            (ms from the window start to the first extreme)
+//   count(s[,w]) p(s,q[,w]) count_below(s,x[,w]) count_above(s,x[,w])
+//                            (with w: over the means of w-ms time buckets)
+//   has_drop(s[,f])          (some next < prev * (1 - f) [0])
+//   trend_up(s[,n,k])        (means of n-sample buckets [10]: some
+//                             next > k * prev [1])
+//   has_rise trend_down      (some next > prev; 10-sample bucket means fall)
+// Paired element-wise over two series (first min(count) samples):
+//   frac_gt(a,b) count_gt(a,b) pairs(a,b)   (a > b fraction / count; pairs)
+//   any_gt(a,b) any_lt(a,b[,k])             (some a > b / a < k*b [1])
+//   any_over_cap(a,c)                       (some c > 0 and a > c)
+//   any_mismatch(a,b,t)                     (some |a - b| > t * a)
+// Predicates on where a series comes from:
+//   is_uplink(s)   s is a 5G direction series on the uplink (fwd/rev resolve
+//                  per perspective)
+//   captured(s)    the capture carries s's source stream (the gNB log is
+//                  absent on commercial cells; other streams always count)
 //
 // Scalars combine with + - * / and comparisons; `and` / `or` / `not`
-// combine booleans. Comparisons yield 1.0/0.0.
+// combine booleans. Comparisons yield 1.0/0.0. Built-in events are written
+// in this language too (prelude.h).
 #pragma once
 
 #include <memory>
@@ -82,17 +97,8 @@ class ExprNode {
  public:
   virtual ~ExprNode() = default;
 
-  [[nodiscard]] virtual bool is_series() const { return false; }
   /// Evaluates to a scalar; throws DslError for series-valued nodes.
   [[nodiscard]] virtual double EvalScalar(const WindowContext& ctx) const = 0;
-  /// Evaluates to a window view; throws DslError for scalar nodes.
-  [[nodiscard]] virtual WindowView<double> EvalSeries(
-      const WindowContext& ctx) const;
-  /// The underlying series for plain `scope.name` references (else
-  /// nullptr); lets aggregate functions ride the incremental window
-  /// aggregates instead of rescanning the view.
-  [[nodiscard]] virtual const TimeSeries<double>* SourceSeries(
-      const WindowContext& ctx) const;
   /// Emits equivalent Python source (see codegen.h).
   [[nodiscard]] virtual std::string ToPython() const = 0;
   /// Single dispatch into the matching ExprVisitor callback.
@@ -114,7 +120,9 @@ class ExprNode {
 };
 
 /// Parses an expression. Throws DslError on syntax/semantic problems.
-ExprPtr ParseExpression(const std::string& text);
+/// `swap_legs` reads every `fwd` scope as `rev` and vice versa (how a
+/// leg-scoped built-in evaluates on its reverse leg, prelude.h).
+ExprPtr ParseExpression(const std::string& text, bool swap_legs = false);
 
 /// Result of the multi-error front-end: the expression (null when any error
 /// diagnostic was emitted) plus the facts the config-level linter needs.
@@ -137,6 +145,11 @@ struct CheckedExpr {
 CheckedExpr ParseExpressionChecked(const std::string& text,
                                    lint::DiagnosticSink& sink,
                                    const InputLimits& limits = {});
+
+/// The shortest DSL literal that parses back to exactly `v` (negative
+/// values parenthesised; infinities and NaN as arithmetic yielding them).
+/// Also valid Python.
+std::string DslLiteral(double v);
 
 /// Convenience: evaluates a parsed expression as a boolean condition.
 inline bool EvalCondition(const ExprNode& expr, const WindowContext& ctx) {

@@ -1,5 +1,7 @@
 #include "domino/features.h"
 
+#include "domino/prelude.h"
+
 namespace domino::analysis {
 
 namespace {
@@ -53,6 +55,10 @@ FeatureVector ExtractFeatures(const telemetry::DerivedTrace& trace,
                               Time begin, Time end,
                               const EventThresholds& th,
                               WindowStatsCache* cache) {
+  const Prelude& prelude = Prelude::For(th);
+  auto detect = [&](EventType type, const WindowContext& ctx) {
+    return prelude.Get(EventRef{type}).Eval(ctx);
+  };
   FeatureVector out{};
   // Perspective contexts: sender = UE (forward leg is UL) and
   // sender = remote (forward leg is DL).
@@ -67,36 +73,30 @@ FeatureVector ExtractFeatures(const telemetry::DerivedTrace& trace,
     const WindowContext& other = c == 0 ? remote_ctx : ue_ctx;
     for (int e = 0; e < 10; ++e) {
       EventType t = kAppEvents[static_cast<std::size_t>(e)];
-      const WindowContext& ctx = IsReceiverScoped(t) ? other : own;
       out[static_cast<std::size_t>(c * 10 + e)] =
-          DetectEvent(EventRef{t}, ctx, th);
+          detect(t, IsReceiverScoped(t) ? other : own);
     }
   }
 
   // Forward/reverse delay per perspective (events 11, 12).
-  out[20] = DetectEvent(EventRef{EventType::kFwdDelayUp}, ue_ctx, th);
-  out[21] = DetectEvent(EventRef{EventType::kRevDelayUp}, ue_ctx, th);
-  out[22] = DetectEvent(EventRef{EventType::kFwdDelayUp}, remote_ctx, th);
-  out[23] = DetectEvent(EventRef{EventType::kRevDelayUp}, remote_ctx, th);
+  out[20] = detect(EventType::kFwdDelayUp, ue_ctx);
+  out[21] = detect(EventType::kRevDelayUp, ue_ctx);
+  out[22] = detect(EventType::kFwdDelayUp, remote_ctx);
+  out[23] = detect(EventType::kRevDelayUp, remote_ctx);
 
   // 5G events per direction. The UE perspective's forward leg is the UL;
   // the remote perspective's forward leg is the DL.
   for (int d = 0; d < 2; ++d) {
     const WindowContext& ctx = d == 0 ? ue_ctx : remote_ctx;
     for (int e = 0; e < 6; ++e) {
-      out[static_cast<std::size_t>(24 + d * 6 + e)] = DetectEvent(
-          EventRef{k5gEvents[static_cast<std::size_t>(e)], PathLeg::kFwd},
-          ctx, th);
+      out[static_cast<std::size_t>(24 + d * 6 + e)] =
+          detect(k5gEvents[static_cast<std::size_t>(e)], ctx);
     }
   }
-  out[36] = DetectEvent(EventRef{EventType::kUlScheduling, PathLeg::kFwd},
-                        ue_ctx, th);
-  out[37] = DetectEvent(EventRef{EventType::kUlScheduling, PathLeg::kFwd},
-                        remote_ctx, th);
-  out[38] = DetectEvent(EventRef{EventType::kRrcChange, PathLeg::kFwd},
-                        ue_ctx, th);
-  out[39] = DetectEvent(EventRef{EventType::kRrcChange, PathLeg::kFwd},
-                        remote_ctx, th);
+  out[36] = detect(EventType::kUlScheduling, ue_ctx);
+  out[37] = detect(EventType::kUlScheduling, remote_ctx);
+  out[38] = detect(EventType::kRrcChange, ue_ctx);
+  out[39] = detect(EventType::kRrcChange, remote_ctx);
   return out;
 }
 

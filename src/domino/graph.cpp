@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "domino/lint/suggest.h"
+#include "domino/prelude.h"
 
 namespace domino::analysis {
 
@@ -20,14 +21,14 @@ int CausalGraph::AddNode(Node node) {
 
 int CausalGraph::AddBuiltinNode(const std::string& name, NodeKind kind,
                                 EventRef ref, const EventThresholds& th) {
+  // Interned per thresholds value, so the reference outlives the graph.
+  const Condition& c = Prelude::For(th).Get(ref);
   Node n;
   n.name = name;
   n.kind = kind;
   n.builtin = ref;
-  n.builtin_thresholds = th;
-  n.detect = [ref, th](const WindowContext& ctx) {
-    return DetectEvent(ref, ctx, th);
-  };
+  n.detect = [&c](const WindowContext& ctx) { return c.Eval(ctx); };
+  n.streams = {c.streams(0), c.streams(1)};
   return AddNode(std::move(n));
 }
 

@@ -3,9 +3,10 @@
 // are WebRTC consequences. Chains are root->sink paths; the default graph
 // yields exactly the paper's 24 chains (§4.2).
 //
-// Nodes carry a detection predicate. Built-in nodes wrap DetectEvent; the
-// config DSL (config_parser.h) can add nodes with user-defined expressions,
-// making the graph user-extensible as the paper describes.
+// Nodes carry a detection predicate. Built-in nodes evaluate a prelude
+// entry (prelude.h); the config DSL (config_parser.h) adds nodes with
+// user-defined expressions of the same language, making the graph
+// user-extensible as the paper describes.
 #pragma once
 
 #include <array>
@@ -23,21 +24,16 @@ enum class NodeKind { kCause, kIntermediate, kConsequence };
 struct Node {
   std::string name;
   NodeKind kind;
-  /// Window predicate. Thresholds are bound at graph construction.
+  /// Window predicate. Nodes built from a condition (prelude entries and
+  /// config events, prelude.h) evaluate it through the per-window memo.
   std::function<bool(const WindowContext&)> detect;
   /// Set when the node wraps a built-in event (used for reporting).
   std::optional<EventRef> builtin;
-  /// The thresholds bound into `detect` for built-in nodes; lets the
-  /// detector share one per-window detection between nodes and the feature
-  /// extractor when they agree on thresholds.
-  std::optional<EventThresholds> builtin_thresholds;
-  /// Raw-stream use masks for DSL-defined nodes, one per perspective
-  /// (index = sender_client). Filled by ExtendGraph from the event's
-  /// declared `requires` streams, or inferred from the series its
-  /// condition reads (lint::InferStreamUse). 0 = unknown: the detector
-  /// then applies no data-quality degradation, the pre-declaration
-  /// behaviour. Built-in nodes use RequiredStreams() instead.
-  std::array<StreamMask, 2> custom_streams{};
+  /// Raw streams the node's condition reads, one mask per perspective
+  /// (index = sender_client): InferStreamUse over its condition, or a
+  /// config event's declared `requires` streams. 0 = unknown: the detector
+  /// then applies no data-quality degradation.
+  std::array<StreamMask, 2> streams{};
 };
 
 /// A root->sink path through the graph, by node index.

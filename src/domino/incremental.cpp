@@ -144,13 +144,24 @@ std::vector<double> BucketGridCursor::Means(Time begin, Time end) {
 void WindowStatsCache::BeginWindow(Time begin, Time end) {
   begin_ = begin;
   end_ = end;
-  event_memo_.fill(-1);
+  ++window_;
+  recent_ = {};
   // Cursors advance lazily on first access per window (Cursor()).
 }
 
 SeriesCursor& WindowStatsCache::Cursor(const TimeSeries<double>& s) {
+  // A condition usually asks several aggregates of one or two series in a
+  // row (count, then min, then max): the last two cursors of this window
+  // skip the map lookup.
+  if (recent_[0].series == &s) return *recent_[0].cursor;
+  if (recent_[1].series == &s) {
+    std::swap(recent_[0], recent_[1]);
+    return *recent_[0].cursor;
+  }
   auto [it, inserted] = cursors_.try_emplace(&s, s);
   it->second.Advance(begin_, end_);
+  recent_[1] = recent_[0];
+  recent_[0] = {&s, &it->second};  // map nodes never move
   return it->second;
 }
 
@@ -187,31 +198,55 @@ std::vector<double> WindowStatsCache::TimeBuckets(const TimeSeries<double>& s,
   if (it == grids_.end()) {
     // Anchor the grid at the first window that asks; later aligned windows
     // share its bucket edges.
-    it = grids_.emplace(key, BucketGridCursor(s, begin_, width)).first;
+    it = grids_.emplace(key, Grid{BucketGridCursor(s, begin_, width), 0, {}})
+             .first;
   }
-  if (it->second.Aligned(begin_, end_)) {
-    return it->second.Means(begin_, end_);
+  Grid& g = it->second;
+  // Conditions often ask twice per window (a count, then a percentile).
+  if (g.window != window_) {
+    g.window = window_;
+    g.means = g.cursor.Aligned(begin_, end_)
+                  ? g.cursor.Means(begin_, end_)
+                  : TimeBucketMeans(Cursor(s).View(), begin_, width);
   }
-  return TimeBucketMeans(Cursor(s).View(), begin_, width);
+  return g.means;
 }
 
-std::size_t WindowStatsCache::EventKey(EventType type, PathLeg leg,
-                                       int sender) {
-  auto t = static_cast<std::size_t>(type) - 1;  // EventType is 1-based.
-  std::size_t l = leg == PathLeg::kRev ? 1 : 0;
-  return (t * 2 + l) * 2 + static_cast<std::size_t>(sender);
+std::size_t WindowStatsCache::MemoProbe(const void* condition) const {
+  const std::size_t mask = memo_.size() - 1;
+  // Fibonacci hashing: condition objects are aligned, so the low address
+  // bits alone would cluster.
+  const std::uint64_t h =
+      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(condition)) *
+      0x9E3779B97F4A7C15ull;
+  std::size_t i = static_cast<std::size_t>(h >> 32) & mask;
+  while (memo_[i].key != nullptr && memo_[i].key != condition) {
+    i = (i + 1) & mask;
+  }
+  return i;
 }
 
-std::optional<bool> WindowStatsCache::LookupEvent(EventType type, PathLeg leg,
-                                                  int sender) const {
-  std::int8_t v = event_memo_[EventKey(type, leg, sender)];
-  if (v < 0) return std::nullopt;
-  return v != 0;
-}
-
-void WindowStatsCache::StoreEvent(EventType type, PathLeg leg, int sender,
-                                  bool value) {
-  event_memo_[EventKey(type, leg, sender)] = value ? 1 : 0;
+std::int8_t& WindowStatsCache::Memo(const void* condition, int sender) {
+  std::size_t i = MemoProbe(condition);
+  if (memo_[i].key == nullptr) {
+    if (2 * (memo_used_ + 1) > memo_.size()) {
+      // Keep the load at most one half.
+      std::vector<MemoSlot> old(memo_.size() * 2);
+      old.swap(memo_);
+      for (const MemoSlot& o : old) {
+        if (o.key != nullptr) memo_[MemoProbe(o.key)] = o;
+      }
+      i = MemoProbe(condition);
+    }
+    memo_[i].key = condition;
+    ++memo_used_;
+  }
+  MemoSlot& slot = memo_[i];
+  if (slot.window != window_) {
+    slot.window = window_;
+    slot.value = {-1, -1};
+  }
+  return slot.value[static_cast<std::size_t>(sender)];
 }
 
 // ---------------------------------------------------------------------------

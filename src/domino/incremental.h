@@ -21,7 +21,7 @@
 //     grouping (Appendix D #16), exact versus TimeBucketMeans whenever the
 //     window begin and width stay on the bucket grid;
 //   * WindowStatsCache — the per-window façade hung off WindowContext, so
-//     an aggregate (or a whole built-in event result) queried by several
+//     an aggregate (or a whole condition's result) queried by several
 //     graph nodes and the feature extractor is computed once per window.
 //
 // All aggregates reproduce the naive path bit-for-bit except the running
@@ -35,7 +35,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -45,10 +44,6 @@
 #include "telemetry/dataset.h"
 
 namespace domino::analysis {
-
-/// Comparison kinds for incremental threshold counters (DSL count_below /
-/// count_above).
-enum class CountOp : std::uint8_t { kBelow, kAbove };
 
 /// Monotone window cursor over one series with O(1) amortised aggregates.
 /// Advance() must be called with non-decreasing [begin, end) intervals; a
@@ -190,25 +185,17 @@ class WindowStatsCache {
   [[nodiscard]] std::vector<double> TimeBuckets(const TimeSeries<double>& s,
                                                 Duration width);
 
-  // -- Built-in event memo -------------------------------------------------
-  // DetectEvent results are memoised per window, keyed by (type, leg,
-  // perspective). The memo is only valid for one EventThresholds instance —
-  // the one the owning Detector registers — and is matched by address, so
-  // graph nodes that bound different thresholds never see stale hits.
-  void set_memo_thresholds(const EventThresholds* th) {
-    memo_thresholds_ = th;
-  }
-  [[nodiscard]] const EventThresholds* memo_thresholds() const {
-    return memo_thresholds_;
-  }
-  [[nodiscard]] std::optional<bool> LookupEvent(EventType type, PathLeg leg,
-                                                int sender) const;
-  void StoreEvent(EventType type, PathLeg leg, int sender, bool value);
+  // -- Condition memo -----------------------------------------------------
+  /// The current window's memo slot for `condition` (a Condition, prelude.h,
+  /// or any other stable address naming one compiled condition) seen from
+  /// perspective `sender`: -1 until stored, else 0/1. BeginWindow clears
+  /// every slot. The reference is valid until the next Memo call.
+  [[nodiscard]] std::int8_t& Memo(const void* condition, int sender);
 
  private:
-  static std::size_t EventKey(EventType type, PathLeg leg, int sender);
-
   SeriesCursor& Cursor(const TimeSeries<double>& s);
+  /// Slot index holding `condition`, or the empty slot it would take.
+  [[nodiscard]] std::size_t MemoProbe(const void* condition) const;
 
   const telemetry::DerivedTrace* trace_;
   std::uint64_t trace_build_id_ = 0;
@@ -226,13 +213,28 @@ class WindowStatsCache {
              (std::hash<std::int64_t>()(k.width_us) * 0x9E3779B97F4A7C15ull);
     }
   };
-  std::unordered_map<GridKey, BucketGridCursor, GridKeyHash> grids_;
+  struct Grid {
+    BucketGridCursor cursor;
+    std::uint64_t window = 0;    ///< `means` belong to this window.
+    std::vector<double> means;
+  };
+  std::unordered_map<GridKey, Grid, GridKeyHash> grids_;
+  struct Recent {
+    const TimeSeries<double>* series = nullptr;
+    SeriesCursor* cursor = nullptr;
+  };
+  std::array<Recent, 2> recent_{};  ///< Cursors advanced this window.
 
-  /// 20 event types x {fwd, rev} x {ue, remote} perspectives;
-  /// -1 = unset, else 0/1.
-  static constexpr std::size_t kEventSlots = 20 * 2 * 2;
-  std::array<std::int8_t, kEventSlots> event_memo_{};
-  const EventThresholds* memo_thresholds_ = nullptr;
+  /// Open-addressing table keyed by condition address; a slot's values
+  /// belong to the window numbered `window` and read as unset otherwise.
+  struct MemoSlot {
+    const void* key = nullptr;
+    std::uint64_t window = 0;
+    std::array<std::int8_t, 2> value{-1, -1};
+  };
+  std::vector<MemoSlot> memo_ = std::vector<MemoSlot>(64);
+  std::size_t memo_used_ = 0;
+  std::uint64_t window_ = 1;  ///< Advanced by BeginWindow.
 };
 
 /// Runs fn(chunk_begin, chunk_end) over `threads` contiguous, near-equal

@@ -40,34 +40,46 @@ constexpr SchemaScope kCli = SchemaScope::kClient;
 // PRBs cap at 273 (the widest NR carrier), MCS at index 28, RNTI at the
 // 16-bit C-RNTI space, fps at 120 (the paper's dataset caps at 30/60).
 // harq_retx / rlc_retx are tick series whose samples are exactly 1.0.
+using D = telemetry::DirectionSeries;
+using C = telemetry::ClientSeries;
+
 const std::vector<SeriesSchema> kSchema = {
     // 5G direction-scope series (fwd/rev/ul/dl).
-    {"tbs", kDir, Unit::kBytes, 0, 4.0e6, 0.5, SourceFeed::kDci},
-    {"prb_self", kDir, Unit::kPrb, 0, 273, 0.5, SourceFeed::kDci},
-    {"prb_other", kDir, Unit::kPrb, 0, 273, 0.5, SourceFeed::kDci},
-    {"mcs", kDir, Unit::kMcs, 0, 28, 0.5, SourceFeed::kDci},
-    {"harq_retx", kDir, Unit::kCount, 1, 1, 0.5, SourceFeed::kDci},
-    {"rlc_retx", kDir, Unit::kCount, 1, 1, 1.0, SourceFeed::kGnbLog},
-    {"owd_ms", kDir, Unit::kMs, 0, 1.0e4, 0.01, SourceFeed::kPackets},
-    {"app_bitrate", kDir, Unit::kBps, 0, 1.0e10, 50, SourceFeed::kPackets},
-    {"tbs_bitrate", kDir, Unit::kBps, 0, 1.0e10, 50, SourceFeed::kDci},
-    {"rnti", kDir, Unit::kId, 1, 65535, 0.5, SourceFeed::kDci},
+    {"tbs", kDir, Unit::kBytes, 0, 4.0e6, 0.5, SourceFeed::kDci, &D::tbs_bytes},
+    {"prb_self", kDir, Unit::kPrb, 0, 273, 0.5, SourceFeed::kDci, &D::prb_self},
+    {"prb_other", kDir, Unit::kPrb, 0, 273, 0.5, SourceFeed::kDci,
+     &D::prb_other},
+    {"mcs", kDir, Unit::kMcs, 0, 28, 0.5, SourceFeed::kDci, &D::mcs},
+    {"harq_retx", kDir, Unit::kCount, 1, 1, 0.5, SourceFeed::kDci,
+     &D::harq_retx},
+    {"rlc_retx", kDir, Unit::kCount, 1, 1, 1.0, SourceFeed::kGnbLog,
+     &D::rlc_retx},
+    {"owd_ms", kDir, Unit::kMs, 0, 1.0e4, 0.01, SourceFeed::kPackets,
+     &D::owd_ms},
+    {"app_bitrate", kDir, Unit::kBps, 0, 1.0e10, 50, SourceFeed::kPackets,
+     &D::app_bitrate_bps},
+    {"tbs_bitrate", kDir, Unit::kBps, 0, 1.0e10, 50, SourceFeed::kDci,
+     &D::tbs_bitrate_bps},
+    {"rnti", kDir, Unit::kId, 1, 65535, 0.5, SourceFeed::kDci, &D::rnti},
     // Client-scope series (sender/receiver/ue/remote), all 50 ms stats.
-    {"inbound_fps", kCli, Unit::kFps, 0, 120, 50, SourceFeed::kClientStats},
-    {"outbound_fps", kCli, Unit::kFps, 0, 120, 50, SourceFeed::kClientStats},
+    {"inbound_fps", kCli, Unit::kFps, 0, 120, 50, SourceFeed::kClientStats,
+     nullptr, &C::inbound_fps},
+    {"outbound_fps", kCli, Unit::kFps, 0, 120, 50, SourceFeed::kClientStats,
+     nullptr, &C::outbound_fps},
     {"outbound_resolution", kCli, Unit::kResolution, 0, 4320, 50,
-     SourceFeed::kClientStats},
+     SourceFeed::kClientStats, nullptr, &C::outbound_resolution},
     {"jitter_buffer_ms", kCli, Unit::kMs, 0, 1.0e4, 50,
-     SourceFeed::kClientStats},
+     SourceFeed::kClientStats, nullptr, &C::jitter_buffer_ms},
     {"target_bitrate", kCli, Unit::kBps, 0, 1.0e10, 50,
-     SourceFeed::kClientStats},
+     SourceFeed::kClientStats, nullptr, &C::target_bitrate_bps},
     {"pushback_rate", kCli, Unit::kBps, 0, 1.0e10, 50,
-     SourceFeed::kClientStats},
+     SourceFeed::kClientStats, nullptr, &C::pushback_bitrate_bps},
     {"outstanding_bytes", kCli, Unit::kBytes, 0, 1.0e9, 50,
-     SourceFeed::kClientStats},
+     SourceFeed::kClientStats, nullptr, &C::outstanding_bytes},
     {"cwnd_bytes", kCli, Unit::kBytes, 0, 1.0e9, 50,
-     SourceFeed::kClientStats},
-    {"overuse", kCli, Unit::kBool, 0, 1, 50, SourceFeed::kClientStats},
+     SourceFeed::kClientStats, nullptr, &C::cwnd_bytes},
+    {"overuse", kCli, Unit::kBool, 0, 1, 50, SourceFeed::kClientStats,
+     nullptr, &C::overuse},
 };
 
 StreamMask Bit(StreamId id) {

@@ -53,6 +53,11 @@ struct SeriesSchema {
   /// many samples one analysis window can hold (DL407).
   double cadence_ms;
   SourceFeed source;
+  /// The DerivedTrace member the row names, bound into parsed expressions:
+  /// a DirectionSeries member for direction rows, a ClientSeries member
+  /// for client rows (the other one is null).
+  TimeSeries<double> telemetry::DirectionSeries::*dir_member = nullptr;
+  TimeSeries<double> telemetry::ClientSeries::*client_member = nullptr;
 };
 
 /// The full declared schema, one row per (scope kind, series name).

@@ -139,7 +139,7 @@ class AbstractEvaluator : public ExprVisitor {
     args.reserve(series_args.size() + scalar_args.size());
     for (const auto& a : series_args) args.push_back(Eval(*a));
     for (const auto& a : scalar_args) args.push_back(Eval(*a));
-    result_ = EvalCall(func, args);
+    result_ = EvalCall(func, args, series_args.size() == 2);
   }
 
   void VisitUnary(const ExprNode&, UnOp op,
@@ -219,7 +219,9 @@ class AbstractEvaluator : public ExprVisitor {
     return static_cast<double>(MaxSamplesInWindow(*row, opts_.window_ms));
   }
 
-  AbsVal EvalCall(const std::string& func, const std::vector<AbsVal>& args) {
+  /// `paired`: args[1] is a second series (element-wise functions).
+  AbsVal EvalCall(const std::string& func, const std::vector<AbsVal>& args,
+                  bool paired) {
     const AbsVal& s0 = args[0];
     AbsVal v;
     v.schema_dependent = s0.schema_dependent;
@@ -230,11 +232,17 @@ class AbstractEvaluator : public ExprVisitor {
 
     if (func == "min" || func == "max" || func == "mean" || func == "first" ||
         func == "last" || func == "p") {
-      // Order statistics stay inside the element range; an empty window
-      // yields the 0.0 default, so the hull must include it.
+      // Order statistics (and bucket means) stay inside the element range;
+      // an empty window yields the 0.0 default, so the hull must include it.
       v.range = s0.range.HullWith(0);
       v.unit = s0.unit;
       v.direct = s0.direct;
+    } else if (func == "argmin" || func == "argmax") {
+      // An offset into the window; 0 when it is empty.
+      v.range = {0, bound_samples_ ? opts_.window_ms : kInf};
+      v.unit = Unit::kMs;
+      v.direct = true;
+      v.schema_dependent = bound_samples_;
     } else if (func == "stddev") {
       double spread = s0.range.hi - s0.range.lo;
       v.range = {0, std::isnan(spread) ? kInf : spread};
@@ -246,8 +254,12 @@ class AbstractEvaluator : public ExprVisitor {
       v.direct = s0.direct;
       v.schema_dependent = s0.schema_dependent || bound_samples_;
     } else if (func == "count" || func == "count_below" ||
-               func == "count_above") {
-      v.range = {0, cap};
+               func == "count_above" || func == "count_gt" ||
+               func == "pairs") {
+      // Paired counts stop at the shorter series.
+      const double n =
+          paired ? std::min(cap, SampleCap(args[1].series)) : cap;
+      v.range = {0, n};
       v.unit = Unit::kCount;
       v.direct = true;
       // The parser already knows count() is in [0, inf); only the cadence
@@ -258,15 +270,18 @@ class AbstractEvaluator : public ExprVisitor {
       v.range = cap < 2 ? Interval::Exact(0) : Interval{0, 1};
       v.schema_dependent = bound_samples_;
     } else if (func == "trend_up" || func == "trend_down") {
-      // A trend needs at least two buckets of trend_bucket samples each,
-      // i.e. more than trend_bucket samples in the window.
-      v.range = cap < static_cast<double>(opts_.trend_bucket) + 1
-                    ? Interval::Exact(0)
-                    : Interval{0, 1};
+      // A trend needs at least two buckets of n samples each, so more than
+      // n samples in the window. A non-constant n is assumed as small as 1.
+      double n = 10;
+      if (args.size() > 1) n = args[1].range.IsExact() ? args[1].range.lo : 1;
+      v.range = !(n >= 1) || cap < std::floor(n) + 1 ? Interval::Exact(0)
+                                                      : Interval{0, 1};
       v.schema_dependent = bound_samples_;
-    } else if (func == "frac_gt" || func == "any_gt") {
+    } else {
+      // Paired any_* / frac_gt, is_uplink and captured: booleans or a
+      // fraction, decided by data the schema does not bound.
       v.range = {0, 1};
-      if (args.size() > 1) {
+      if (paired) {
         v.schema_dependent =
             s0.schema_dependent || args[1].schema_dependent;
       }

@@ -33,9 +33,6 @@ struct VerifyOptions {
   /// Analysis window the DL407 sample budgets are computed for. Matches
   /// DominoConfig::window's default; `domino lint --window` overrides.
   double window_ms = 5000.0;
-  /// Bucket width of the trend_up/trend_down builtins; a trend needs more
-  /// than one bucket, i.e. at least trend_bucket + 1 samples.
-  int trend_bucket = 10;
 };
 
 /// Runs DL401-DL407 over a parsed config and appends into `sink` (the

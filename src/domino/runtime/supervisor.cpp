@@ -1,7 +1,6 @@
 #include "domino/runtime/supervisor.h"
 
 #include "domino/runtime/checkpoint.h"
-#include "domino/runtime/fleet.h"
 
 namespace domino::runtime {
 
@@ -34,21 +33,6 @@ bool LoadProgressFromState(const std::string& state_dir, LiveSummary* out,
     *checkpointed_to_us = cp.next_begin.micros();
   }
   return true;
-}
-
-std::vector<SessionOutcome> RunSessions(const std::vector<SessionSpec>& specs,
-                                        const analysis::CausalGraph& graph,
-                                        const LiveOptions& opts,
-                                        bool parallel) {
-  // Compatibility shim over the fleet supervisor: one attempt per session
-  // (the historical `domino live` contract — no retries, no deadlines, no
-  // fleet-level budgets), N workers in parallel mode, 1 otherwise.
-  FleetOptions fleet;
-  fleet.workers = parallel ? static_cast<int>(specs.size()) : 1;
-  fleet.max_attempts = 1;
-  fleet.isolate = IsolationMode::kThread;
-  FleetSupervisor sup(specs, graph, opts, fleet);
-  return sup.Run().outcomes;
 }
 
 }  // namespace domino::runtime

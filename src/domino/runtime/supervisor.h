@@ -1,17 +1,13 @@
-// Multi-session supervision for `domino live`.
+// Session records shared by every multi-session runner.
 //
-// One operator box typically watches several concurrent calls. The
-// supervisor runs N LiveRunner sessions — one per dataset directory, each
-// with its own state directory, tail reader, detector, and watchdog —
-// with *no shared mutable state* between them, so one poisoned stream
-// (corrupt checkpoint, missing meta, truncated files) ends its own session
-// with a recorded error and cannot stall or corrupt the others.
-//
-// Parallel mode runs each session on its own thread (session isolation is
-// structural: the only cross-thread data is the immutable options/graph
-// and the per-session outcome slot). Sequential mode exists for
-// deterministic debugging and for machines where N datasets won't fit in
-// N threads' memory.
+// One operator box typically watches several concurrent calls. Each
+// session is one LiveRunner (its own dataset and state directory, tail
+// reader, detector and watchdog) with no shared mutable state, so one
+// poisoned stream (corrupt checkpoint, missing meta, truncated files) ends
+// its own session with a recorded error and cannot stall or corrupt the
+// others. FleetSupervisor (fleet.h) runs them: `domino live <dirs...>`
+// uses one worker per dataset (one at a time with --sequential) and a
+// single attempt each; `domino serve` adds retries, deadlines and budgets.
 #pragma once
 
 #include <cstdint>
@@ -38,8 +34,7 @@ struct SessionOutcome {
                         ///< progress reconstructed from the last good
                         ///< checkpoint when not (see has_partial).
 
-  // Fleet-mode supervision record (FleetSupervisor; RunSessions leaves the
-  // defaults except attempts = 1).
+  // Supervision record (FleetSupervisor).
   int attempts = 0;        ///< Attempts consumed, including the final one.
   bool quarantined = false;       ///< Attempt budget exhausted.
   bool deadline_exceeded = false;  ///< Any attempt hit the wall-clock deadline.
@@ -66,13 +61,5 @@ struct SessionOutcome {
 /// untouched) when no readable checkpoint exists.
 bool LoadProgressFromState(const std::string& state_dir, LiveSummary* out,
                            std::int64_t* checkpointed_to_us);
-
-/// Runs every session to completion and returns one outcome per spec, in
-/// spec order. Never throws: per-session failures are captured in the
-/// outcome. `parallel` selects thread-per-session execution.
-std::vector<SessionOutcome> RunSessions(const std::vector<SessionSpec>& specs,
-                                        const analysis::CausalGraph& graph,
-                                        const LiveOptions& opts,
-                                        bool parallel);
 
 }  // namespace domino::runtime

@@ -1,9 +1,8 @@
 // Tests for the domino-verify pass (DESIGN.md §12): the interval abstract
 // domain, the declared telemetry schema, the DL401-DL407 checks, and the
-// agreement between the schema's stream-use inference and the built-in
-// events' RequiredStreams masks. The 20 built-in conditions of Table 5 are
-// re-expressed in the DSL and must verify clean — the schema may never
-// contradict the detector it describes.
+// stream masks inferred from the built-in prelude (pinned to the masks the
+// retired per-type switch returned). The 20 prelude entries must verify
+// clean — the schema may never contradict the detector it describes.
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -18,6 +17,7 @@
 #include "domino/lint/lint.h"
 #include "domino/lint/schema.h"
 #include "domino/lint/verify.h"
+#include "domino/prelude.h"
 #include "telemetry/dataset.h"
 
 namespace domino::analysis::lint {
@@ -199,8 +199,8 @@ TEST(SchemaTest, StreamResolutionFollowsPerspective) {
 
 TEST(SchemaTest, DefaultThresholdsSitInsidePhysicalRanges) {
   // A built-in threshold outside its series' declared range would make the
-  // schema call the built-in's own condition dead (DL404 on the reference
-  // conditions below) — the two tables must stay consistent.
+  // schema call the built-in's own condition dead (DL404 on the prelude
+  // entries below) — the two tables must stay consistent.
   EventThresholds th;
   const SeriesSchema* fps = FindSeriesSchema("receiver", "inbound_fps");
   const SeriesSchema* owd = FindSeriesSchema("fwd", "owd_ms");
@@ -225,85 +225,65 @@ TEST(SchemaTest, DefaultThresholdsSitInsidePhysicalRanges) {
 // The 20 built-ins against the schema
 // ---------------------------------------------------------------------------
 
-struct Rendition {
-  EventRef builtin;
-  const char* dsl;
+/// The stream masks the per-type RequiredStreams switch returned before the
+/// built-ins became a prelude, by type: {perspective 0, perspective 1}. The
+/// leg never mattered. 1 = dci, 2 = gnb_log, 4 = packets, 8 = stats_ue,
+/// 16 = stats_remote.
+struct PinnedMask {
+  EventType type;
+  StreamMask mask[2];
 };
-
-// DSL restatements of every Table 5 condition (the first nine mirror
-// tests/dsl_builtin_parity_test.cpp, which proves them behaviourally equal
-// to the built-ins on simulated traces).
-const Rendition kRenditions[] = {
-    {{EventType::kInboundFpsDrop},
-     "max(receiver.inbound_fps) > 27 and min(receiver.inbound_fps) < 25"},
-    {{EventType::kOutboundFpsDrop},
-     "max(sender.outbound_fps) > 27 and min(sender.outbound_fps) < 25"},
-    {{EventType::kResolutionDrop}, "has_drop(sender.outbound_resolution)"},
-    {{EventType::kJitterBufferDrain},
-     "min(receiver.jitter_buffer_ms) <= 0.5 and "
-     "count(receiver.jitter_buffer_ms) > 0"},
-    {{EventType::kTargetBitrateDrop}, "has_drop(sender.target_bitrate)"},
-    {{EventType::kGccOveruse}, "max(sender.overuse) > 0.5"},
-    {{EventType::kPushbackDrop},
-     "has_drop(sender.pushback_rate) and "
-     "min(sender.pushback_rate) < 0.99 * max(sender.target_bitrate)"},
-    {{EventType::kCwndFull},
-     "max(sender.outstanding_bytes) > min(sender.cwnd_bytes) and "
-     "max(sender.cwnd_bytes) > 0"},
-    {{EventType::kOutstandingUp}, "trend_up(sender.outstanding_bytes)"},
-    {{EventType::kPushbackNeqTarget},
-     "max(sender.target_bitrate) - min(sender.pushback_rate) > "
-     "0.001 * max(sender.target_bitrate)"},
-    {{EventType::kFwdDelayUp},
-     "max(fwd.owd_ms) > 80 and trend_up(fwd.owd_ms)"},
-    {{EventType::kRevDelayUp},
-     "max(rev.owd_ms) > 80 and trend_up(rev.owd_ms)"},
-    {{EventType::kTbsDrop, PathLeg::kFwd},
-     "count(fwd.tbs) > 0 and min(fwd.tbs) < 0.8 * max(fwd.tbs)"},
-    {{EventType::kRateGap, PathLeg::kFwd},
-     "frac_gt(fwd.app_bitrate, fwd.tbs_bitrate) > 0.1"},
-    {{EventType::kCrossTraffic, PathLeg::kFwd},
-     "sum(fwd.prb_other) >= 50 and "
-     "sum(fwd.prb_other) > 0.2 * sum(fwd.prb_self)"},
-    {{EventType::kChannelDegrade, PathLeg::kFwd},
-     "p(fwd.mcs, 90) < 20 and count_below(fwd.mcs, 10) > 10"},
-    {{EventType::kHarqRetx, PathLeg::kFwd}, "count(fwd.harq_retx) > 10"},
-    {{EventType::kRlcRetx, PathLeg::kFwd}, "count(fwd.rlc_retx) > 0"},
-    {{EventType::kUlScheduling}, "count(ul.prb_self) > 0"},
-    {{EventType::kRrcChange, PathLeg::kFwd},
-     "count(fwd.rnti) >= 2 and min(fwd.rnti) != max(fwd.rnti)"},
+constexpr PinnedMask kPinnedMasks[] = {
+    {EventType::kInboundFpsDrop, {16, 8}},
+    {EventType::kOutboundFpsDrop, {8, 16}},
+    {EventType::kResolutionDrop, {8, 16}},
+    {EventType::kJitterBufferDrain, {16, 8}},
+    {EventType::kTargetBitrateDrop, {8, 16}},
+    {EventType::kGccOveruse, {8, 16}},
+    {EventType::kPushbackDrop, {8, 16}},
+    {EventType::kCwndFull, {8, 16}},
+    {EventType::kOutstandingUp, {8, 16}},
+    {EventType::kPushbackNeqTarget, {8, 16}},
+    {EventType::kFwdDelayUp, {4, 4}},
+    {EventType::kRevDelayUp, {4, 4}},
+    {EventType::kTbsDrop, {1, 1}},
+    {EventType::kRateGap, {5, 5}},
+    {EventType::kCrossTraffic, {1, 1}},
+    {EventType::kChannelDegrade, {1, 1}},
+    {EventType::kHarqRetx, {1, 1}},
+    {EventType::kRlcRetx, {2, 2}},
+    {EventType::kUlScheduling, {1, 1}},
+    {EventType::kRrcChange, {1, 1}},
 };
 
 TEST(BuiltinSchemaTest, AllTwentyBuiltinConditionsVerifyClean) {
-  ASSERT_EQ(std::size(kRenditions), 20u);
-  for (const Rendition& r : kRenditions) {
-    std::string text = "event my_event: " + std::string(r.dsl) + "\n";
+  // The prelude entries themselves, as a user would write them in a config.
+  const Prelude& prelude = Prelude::For(EventThresholds{});
+  for (const PinnedMask& m : kPinnedMasks) {
+    std::string text = "event my_event: " + prelude.text(m.type) + "\n";
     DiagnosticSink sink;
     DominoConfigFile cfg = ParseConfigChecked(text, sink);
     ASSERT_TRUE(sink.empty())
-        << ToString(r.builtin) << "\n" << RenderDiagnostics(sink, text, "");
-    ASSERT_EQ(cfg.events.size(), 1u) << ToString(r.builtin);
-    ASSERT_NE(cfg.events[0].expr, nullptr) << ToString(r.builtin);
+        << ToString(m.type) << "\n" << RenderDiagnostics(sink, text, "");
+    ASSERT_EQ(cfg.events.size(), 1u) << ToString(m.type);
+    ASSERT_NE(cfg.events[0].expr, nullptr) << ToString(m.type);
     VerifyConfig(cfg, sink);
     EXPECT_TRUE(sink.empty())
-        << ToString(r.builtin) << " tripped the verifier:\n"
+        << ToString(m.type) << " tripped the verifier:\n"
         << RenderDiagnostics(sink, text, "");
   }
 }
 
 TEST(BuiltinSchemaTest, InferredStreamUseMatchesRequiredStreams) {
-  // The mask DL406 infers for a DSL restatement must equal the mask the
-  // detector's graceful-degradation path uses for the built-in itself.
-  for (const Rendition& r : kRenditions) {
-    std::string text = "event my_event: " + std::string(r.dsl) + "\n";
-    DiagnosticSink sink;
-    DominoConfigFile cfg = ParseConfigChecked(text, sink);
-    ASSERT_EQ(cfg.events.size(), 1u);
-    ASSERT_NE(cfg.events[0].expr, nullptr);
-    for (int p = 0; p < 2; ++p) {
-      EXPECT_EQ(InferStreamUse(*cfg.events[0].expr, p),
-                RequiredStreams(r.builtin, p))
-          << ToString(r.builtin) << " perspective " << p;
+  // Masks inferred from the prelude reproduce the retired switch for every
+  // type, leg and perspective.
+  ASSERT_EQ(std::size(kPinnedMasks), 20u);
+  for (const PinnedMask& m : kPinnedMasks) {
+    for (PathLeg leg : {PathLeg::kNone, PathLeg::kFwd, PathLeg::kRev}) {
+      for (int p = 0; p < 2; ++p) {
+        EXPECT_EQ(RequiredStreams(EventRef{m.type, leg}, p), m.mask[p])
+            << ToString(EventRef{m.type, leg}) << " perspective " << p;
+      }
     }
   }
 }
@@ -472,20 +452,21 @@ TEST(VerifyStreamTest, ExtendGraphFillsCustomStreamMasks) {
 
   int declared = g.FindNode("declared");
   ASSERT_GE(declared, 0);
-  EXPECT_EQ(g.node(declared).custom_streams[0], Bit(StreamId::kPackets));
-  EXPECT_EQ(g.node(declared).custom_streams[1], Bit(StreamId::kPackets));
+  EXPECT_EQ(g.node(declared).streams[0], Bit(StreamId::kPackets));
+  EXPECT_EQ(g.node(declared).streams[1], Bit(StreamId::kPackets));
 
   // Undeclared events get per-perspective inferred masks: `sender` is the
   // UE when analysing perspective 0 and the remote client for 1.
   int inferred = g.FindNode("inferred");
   ASSERT_GE(inferred, 0);
-  EXPECT_EQ(g.node(inferred).custom_streams[0], Bit(StreamId::kStatsUe));
-  EXPECT_EQ(g.node(inferred).custom_streams[1], Bit(StreamId::kStatsRemote));
+  EXPECT_EQ(g.node(inferred).streams[0], Bit(StreamId::kStatsUe));
+  EXPECT_EQ(g.node(inferred).streams[1], Bit(StreamId::kStatsRemote));
 
-  // Built-in nodes keep RequiredStreams(); their custom mask stays 0.
+  // Built-in nodes carry the masks inferred from their prelude entries.
   int builtin = g.FindNode("cross_traffic");
   ASSERT_GE(builtin, 0);
-  EXPECT_EQ(g.node(builtin).custom_streams[0], 0);
+  EXPECT_EQ(g.node(builtin).streams[0], Bit(StreamId::kDci));
+  EXPECT_EQ(g.node(builtin).streams[1], Bit(StreamId::kDci));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,95 +1,72 @@
-// Property test: the built-in Table 5 conditions that are expressible in the
-// DSL must agree with hand-written DSL equivalents on every window of a real
-// simulated trace. This guards the extensibility claim — a user rewriting a
-// built-in through the config API gets identical detections.
+// Property test: every built-in condition, now a DSL prelude entry
+// (prelude.h), agrees with the hand-written C++ detector it replaced
+// (parity_fixture.h's Oracle) on every window of the simulated parity
+// traces — on the naive and the incremental engine, from both perspectives
+// and on both legs. Each event must fire somewhere, or the sweep proves
+// nothing.
 #include <gtest/gtest.h>
 
-#include "bench_util_for_tests.h"
-#include "domino/events.h"
-#include "domino/expr.h"
+#include "domino/incremental.h"
+#include "domino/prelude.h"
+#include "parity_fixture.h"
 
 namespace domino::analysis {
 namespace {
 
-struct Equivalence {
-  EventRef builtin;
-  const char* dsl;
+// The first nine keep the indices they had when only the conditions the
+// DSL could then express were checked.
+constexpr EventType kTypes[] = {
+    EventType::kJitterBufferDrain, EventType::kGccOveruse,
+    EventType::kTbsDrop,           EventType::kRateGap,
+    EventType::kCrossTraffic,      EventType::kHarqRetx,
+    EventType::kFwdDelayUp,        EventType::kRevDelayUp,
+    EventType::kRrcChange,         EventType::kInboundFpsDrop,
+    EventType::kOutboundFpsDrop,   EventType::kResolutionDrop,
+    EventType::kTargetBitrateDrop, EventType::kPushbackDrop,
+    EventType::kCwndFull,          EventType::kOutstandingUp,
+    EventType::kPushbackNeqTarget, EventType::kChannelDegrade,
+    EventType::kRlcRetx,           EventType::kUlScheduling,
 };
-
-// DSL rewrites of the built-ins (thresholds inlined from EventThresholds
-// defaults). Events whose built-in uses argmax/argmin ordering (1, 2),
-// time-bucketing (16), or the trend-with-floor conjunction with the default
-// 10-sample buckets (9, 11, 12) are expressible too where the primitives
-// line up exactly.
-const Equivalence kCases[] = {
-    {{EventType::kJitterBufferDrain},
-     "min(receiver.jitter_buffer_ms) <= 0.5 and "
-     "count(receiver.jitter_buffer_ms) > 0"},
-    {{EventType::kGccOveruse}, "max(sender.overuse) > 0.5"},
-    {{EventType::kTbsDrop, PathLeg::kFwd},
-     "count(fwd.tbs) > 0 and min(fwd.tbs) < 0.8 * max(fwd.tbs)"},
-    {{EventType::kRateGap, PathLeg::kFwd},
-     "frac_gt(fwd.app_bitrate, fwd.tbs_bitrate) > 0.1"},
-    {{EventType::kCrossTraffic, PathLeg::kFwd},
-     "sum(fwd.prb_other) >= 50 and "
-     "sum(fwd.prb_other) > 0.2 * sum(fwd.prb_self)"},
-    {{EventType::kHarqRetx, PathLeg::kFwd}, "count(fwd.harq_retx) > 10"},
-    {{EventType::kFwdDelayUp},
-     "max(fwd.owd_ms) > 80 and trend_up(fwd.owd_ms)"},
-    {{EventType::kRevDelayUp},
-     "max(rev.owd_ms) > 80 and trend_up(rev.owd_ms)"},
-    {{EventType::kRrcChange, PathLeg::kFwd},
-     "count(fwd.rnti) >= 2 and min(fwd.rnti) != max(fwd.rnti)"},
-};
+static_assert(std::size(kTypes) == 20);
 
 class DslParityTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(DslParityTest, MatchesBuiltinOnSimulatedTrace) {
-  const Equivalence& eq = kCases[GetParam()];
-  // A trace rich in events: Amarisoft with a scripted fade + RRC release.
-  static const telemetry::DerivedTrace trace = [] {
-    sim::SessionConfig cfg;
-    cfg.profile = sim::Amarisoft();
-    cfg.profile.rrc.random_release_rate_per_min = 0;
-    cfg.duration = Seconds(40);
-    cfg.seed = 3;
-    sim::CallSession session(cfg);
-    session.ul_link()->channel().AddEpisode(
-        phy::ChannelEpisode{Time{0} + Seconds(15), Time{0} + Seconds(18),
-                            -9.0});
-    session.rrc()->ScheduleRelease(Time{0} + Seconds(30));
-    return telemetry::BuildDerivedTrace(session.Run());
-  }();
-
-  ExprPtr expr = ParseExpression(eq.dsl);
-  EventThresholds th;
+  const EventType type = kTypes[GetParam()];
+  const EventThresholds th;
   long positives = 0;
-  for (Time t = trace.begin; t + Seconds(5) <= trace.end;
-       t += Millis(500)) {
-    for (int perspective = 0; perspective < 2; ++perspective) {
-      WindowContext ctx(trace, t, t + Seconds(5), perspective);
-      bool builtin = DetectEvent(eq.builtin, ctx, th);
-      bool dsl = EvalCondition(*expr, ctx);
-      EXPECT_EQ(builtin, dsl)
-          << ToString(eq.builtin) << " vs '" << eq.dsl << "' at "
-          << ToString(t) << " perspective " << perspective;
-      if (builtin) ++positives;
+  for (const telemetry::DerivedTrace& trace : parity::Traces()) {
+    WindowStatsCache cache(trace);
+    for (Time t : parity::WindowBegins(trace)) {
+      const Time end = t + Seconds(5);
+      cache.BeginWindow(t, end);
+      for (int p = 0; p < 2; ++p) {
+        const WindowContext naive(trace, t, end, p);
+        const WindowContext incremental(trace, t, end, p, &cache);
+        for (PathLeg leg : {PathLeg::kFwd, PathLeg::kRev}) {
+          const EventRef ref{type, leg};
+          const bool oracle = parity::Oracle(ref, naive, th);
+          EXPECT_EQ(DetectEvent(ref, naive, th), oracle)
+              << ToString(ref) << " naive at " << ToString(t)
+              << " perspective " << p << ": "
+              << Prelude::For(th).text(type);
+          EXPECT_EQ(DetectEvent(ref, incremental, th), oracle)
+              << ToString(ref) << " incremental at " << ToString(t)
+              << " perspective " << p;
+          if (oracle) ++positives;
+        }
+      }
     }
   }
-  // The trace must actually exercise the condition at least once — a parity
-  // test over all-false windows proves nothing.
-  EXPECT_GT(positives, 0) << ToString(eq.builtin)
+  EXPECT_GT(positives, 0) << ToString(type)
                           << " never fired; fixture too tame";
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Builtins, DslParityTest,
-    ::testing::Range<std::size_t>(0, std::size(kCases)),
+    ::testing::Range<std::size_t>(0, std::size(kTypes)),
     [](const ::testing::TestParamInfo<std::size_t>& info) {
-      return ToString(kCases[info.param].builtin.type) +
-             (kCases[info.param].builtin.leg == PathLeg::kRev
-                  ? std::string("_rev")
-                  : std::string());
+      return ToString(kTypes[info.param]);
     });
 
 }  // namespace

@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "domino/runtime/checkpoint.h"
+#include "domino/runtime/fleet.h"
 #include "domino/runtime/live.h"
-#include "domino/runtime/supervisor.h"
 #include "domino/streaming.h"
 #include "sim/call_session.h"
 #include "sim/cell_config.h"
@@ -534,8 +534,13 @@ TEST(SupervisorTest, PoisonedSessionFailsAloneOthersComplete) {
   specs[2].dataset_dir = good_b;
 
   const runtime::LiveOptions opts = QuietOpts();
-  std::vector<runtime::SessionOutcome> out = runtime::RunSessions(
-      specs, DefaultGraph(opts), opts, /*parallel=*/true);
+  runtime::FleetOptions fleet;
+  fleet.workers = static_cast<int>(specs.size());
+  fleet.max_attempts = 1;
+  std::vector<runtime::SessionOutcome> out =
+      runtime::FleetSupervisor(specs, DefaultGraph(opts), opts, fleet)
+          .Run()
+          .outcomes;
 
   ASSERT_EQ(out.size(), 3u);
   EXPECT_TRUE(out[0].ok) << out[0].error;

@@ -281,6 +281,21 @@ TEST(CliStrictFlagsTest, MalformedNumericFlagValuesExitTwo) {
   EXPECT_EQ(DryRun({"serve", "/tmp/ds", "--isolate", "fiber"}), 2);
   // live's --chaos-disk spec is checked before a dry run returns.
   EXPECT_EQ(DryRun({"live", "/tmp/ds", "--chaos-disk", "enospc:0"}), 2);
+  // The other seconds flags: a negative gap threshold reported every
+  // stream as all gaps, and 1e300 overflowed the microsecond conversion.
+  for (const char* flag : {"--chunk-s", "--horizon-s", "--stall-deadline-s"}) {
+    SCOPED_TRACE(flag);
+    for (const char* v : {"0", "-1", "0.0000001", "1e300", "inf"}) {
+      EXPECT_EQ(DryRun({"live", "/tmp/ds", flag, v}), 2) << v;
+      EXPECT_EQ(DryRun({"serve", "/tmp/ds", flag, v}), 2) << v;
+    }
+  }
+  for (const char* v : {"-1", "1e300", "nan"}) {
+    EXPECT_EQ(DryRun({"serve", "/tmp/ds", "--session-deadline-s", v}), 2)
+        << v;
+    EXPECT_EQ(DryRun({"ingest", "/tmp/ds", "--gap-threshold", v}), 2) << v;
+    EXPECT_EQ(DryRun({"ingest", "/tmp/ds", "--reorder-window", v}), 2) << v;
+  }
 }
 
 TEST(CliStrictFlagsTest, ValidCommandLinesDryRunClean) {
@@ -300,6 +315,14 @@ TEST(CliStrictFlagsTest, ValidCommandLinesDryRunClean) {
             0);
   EXPECT_EQ(DryRun({"lint", "whatever.domino", "--strict"}), 0);
   EXPECT_EQ(DryRun({"codegen", "whatever.domino"}), 0);
+  // Zero is meaningful where it switches something off.
+  EXPECT_EQ(DryRun({"serve", "/tmp/ds", "--session-deadline-s", "0"}), 0);
+  EXPECT_EQ(DryRun({"ingest", "/tmp/ds", "--gap-threshold", "0",
+                    "--reorder-window=0"}),
+            0);
+  EXPECT_EQ(DryRun({"live", "/tmp/ds", "--horizon-s", "0.000001",
+                    "--stall-deadline-s", "9e12"}),
+            0);
   // Flags go anywhere, in either spelling; a value may start with '-'.
   EXPECT_EQ(DryRun({"live", "--step=0.25", "/tmp/a", "--window", "2",
                     "/tmp/b", "--naive", "--max-backlog", "3"}),

@@ -10,6 +10,7 @@
 #include "telemetry/fault_inject.h"
 #include "telemetry/io.h"
 #include "telemetry/sanitize.h"
+#include "test_scratch.h"
 
 namespace domino {
 namespace {
@@ -320,8 +321,7 @@ TEST(LoadReportTest, UnreadableExpectedStreamFlagged) {
 
 TEST(LoadDatasetTest, RoundTripWithCorruptionSurvives) {
   namespace fs = std::filesystem;
-  fs::path dir = fs::temp_directory_path() / "domino_sanitize_test_ds";
-  fs::remove_all(dir);
+  const fs::path dir = testing_scratch::FreshDir("ds");
   telemetry::SessionDataset ds = TinyDataset();
   telemetry::SaveDataset(ds, dir.string());
 
@@ -345,7 +345,6 @@ TEST(LoadDatasetTest, RoundTripWithCorruptionSurvives) {
   EXPECT_FALSE(report.ok());
   EXPECT_FALSE(report.stream(StreamId::kStatsRemote).ok());
   EXPECT_FALSE(report.Format().empty());
-  fs::remove_all(dir);
 }
 
 TEST(SanitizeTest, FormatMentionsEveryStream) {

@@ -8,6 +8,7 @@
 
 #include "telemetry/dataset.h"
 #include "telemetry/io.h"
+#include "test_scratch.h"
 
 namespace domino::telemetry {
 namespace {
@@ -283,11 +284,9 @@ TEST(TelemetryIoTest, DatasetSaveLoadRoundTrip) {
   g.rlc_buffer_bytes = 99;
   ds.gnb_log.push_back(g);
 
-  std::string dir =
-      (std::filesystem::temp_directory_path() / "domino_io_test").string();
+  const std::string dir = testing_scratch::FreshDir("io");
   SaveDataset(ds, dir);
   SessionDataset loaded = LoadDataset(dir);
-  std::filesystem::remove_all(dir);
 
   EXPECT_EQ(loaded.cell_name, "test");
   EXPECT_TRUE(loaded.is_private_cell);

@@ -65,7 +65,7 @@ enum class Kind {
   kSwitch,  ///< No value.
   kText,    ///< Any string; commands parse structured specs themselves.
   kNumber,  ///< Finite double.
-  kPeriod,  ///< Finite seconds that convert to at least 1 us.
+  kPeriod,  ///< Seconds in [0, 9e12] that convert to at least `lo` us.
   kInt,     ///< Integer in [lo, hi].
   kUint,    ///< Unsigned 64-bit integer.
   kChoice,  ///< One of the '|'-separated words in `meta`.
@@ -90,7 +90,7 @@ struct Flag {
   const char* meta;  ///< Value placeholder in --help.
   const char* help;  ///< nullptr: internal plumbing (one shared help line).
   Setter set = nullptr;                 ///< Field it writes, if any.
-  std::int64_t lo = 0, hi = INT64_MAX;  ///< kInt bounds.
+  std::int64_t lo = 0, hi = INT64_MAX;  ///< kInt bounds; kPeriod: lo us.
 };
 
 /// Everything one command line sets. Flags with a setter write straight
@@ -137,11 +137,13 @@ constexpr Flag Text(const char* name, const char* meta, const char* help,
                     Setter set = {}) {
   return {name, Kind::kText, meta, help, set};
 }
-constexpr Flag Sec(const char* name, const char* help, Setter set = {}) {
-  return {name, Kind::kNumber, "SEC", help, set};
-}
+/// A duration that must advance something: at least 1 us.
 constexpr Flag Period(const char* name, const char* help, Setter set = {}) {
-  return {name, Kind::kPeriod, "SEC", help, set};
+  return {name, Kind::kPeriod, "SEC", help, set, 1};
+}
+/// A duration where 0 is meaningful (no reorder guard, no deadline).
+constexpr Flag Span(const char* name, const char* help, Setter set = {}) {
+  return {name, Kind::kPeriod, "SEC", help, set, 0};
 }
 constexpr Flag Int(const char* name, std::int64_t lo, std::int64_t hi,
                    const char* help, Setter set = {}) {
@@ -159,10 +161,10 @@ constexpr Flag kAnalysisFlags[] = {
 
 // Shared by live and serve; also forwarded to serve's process children.
 constexpr Flag kSessionFlags[] = {
-    Sec("--chunk-s", "data per poll [2]", SETS(live.chunk = v.dur)),
-    Sec("--horizon-s", "history kept [30]", SETS(live.horizon = v.dur)),
-    Sec("--stall-deadline-s", "silence that marks a stall [5]",
-        SETS(live.stall_deadline = v.dur)),
+    Period("--chunk-s", "data per poll [2]", SETS(live.chunk = v.dur)),
+    Period("--horizon-s", "history kept [30]", SETS(live.horizon = v.dur)),
+    Period("--stall-deadline-s", "silence that marks a stall [5]",
+           SETS(live.stall_deadline = v.dur)),
     Int("--checkpoint-every", 0, kMax, "checkpoint every N windows [8]",
         SETS(live.checkpoint_every_windows = v.i)),
     Int("--max-idle", 0, INT_MAX, "empty polls before a session ends [16]",
@@ -187,10 +189,10 @@ constexpr Flag kIngestFlags[] = {
            SETS(sanitize.correct_skew = true)),
     Text("--out", "DIR", "write the result here [in place]"),
     Text("--inject", "k=v,...", "corrupt the dataset first (keys below)"),
-    Sec("--reorder-window", "bounded-reorder window [1]",
-        SETS(sanitize.reorder_window = v.dur)),
-    Sec("--gap-threshold", "silence reported as a gap [1]",
-        SETS(sanitize.gap_threshold = v.dur)),
+    Span("--reorder-window", "bounded-reorder window [1]",
+         SETS(sanitize.reorder_window = v.dur)),
+    Span("--gap-threshold", "silence reported as a gap [1]",
+         SETS(sanitize.gap_threshold = v.dur)),
 };
 
 constexpr Flag kAnalyzeFlags[] = {
@@ -234,8 +236,8 @@ constexpr Flag kServeFlags[] = {
         SETS(fleet.backoff_cap_ms = v.i)),
     Int("--global-backlog", 0, kMax, "fleet-wide backlog cap (0 = off)",
         SETS(fleet.global_backlog_windows = v.i)),
-    Sec("--session-deadline-s", "attempt deadline (0 = none)",
-        SETS(fleet.session_deadline_s = v.num)),
+    Span("--session-deadline-s", "attempt deadline (0 = none)",
+         SETS(fleet.session_deadline_s = v.num)),
     {"--isolate", Kind::kChoice, "thread|process", "fault domain per attempt",
      SETS(fleet.isolate = v.text == "process"
                               ? runtime::IsolationMode::kProcess
@@ -713,10 +715,15 @@ int CmdLive(Cli& c, const MainOptions& mo) {
     specs[i].dataset_dir = args[i];
     specs[i].state_dir = state_dir.value_or("");
   }
-  const bool parallel = !c.Has("--sequential") && specs.size() > 1;
-  std::vector<runtime::SessionOutcome> outcomes = runtime::RunSessions(
+  // One attempt per session (no retries, deadlines or fleet budgets), all
+  // sessions at once unless --sequential.
+  runtime::FleetOptions fleet;
+  fleet.workers = c.Has("--sequential") ? 1 : static_cast<int>(specs.size());
+  fleet.max_attempts = 1;
+  runtime::FleetSupervisor sup(
       specs, analysis::CausalGraph::Default(opts.detector.thresholds), opts,
-      parallel);
+      fleet);
+  const std::vector<runtime::SessionOutcome> outcomes = sup.Run().outcomes;
 
   int failures = 0;
   int fenced_stops = 0;
@@ -1156,12 +1163,13 @@ bool ParseValue(const Flag& f, const std::string& text, Value& out,
       out.dur = Seconds(out.num);
       return true;
     case Kind::kPeriod:
-      // Below 1 us a window or step rounds to zero and the window loop
-      // never advances; above 9e12 s the microsecond count overflows.
-      want = "seconds in [0.000001, 9e12]";
+      // Above 9e12 s the microsecond count overflows. A period that must
+      // advance something (window, step, poll chunk) needs at least 1 us,
+      // or its loop never moves.
+      want = f.lo > 0 ? "seconds in [0.000001, 9e12]" : "seconds in [0, 9e12]";
       if (!ParseFiniteIn(text, 0, 9e12, out.num)) return false;
       out.dur = Seconds(out.num);
-      return out.dur >= Micros(1);
+      return out.dur >= Micros(f.lo);
     case Kind::kInt:
       want = "an integer in [" + std::to_string(f.lo) + ", " +
              std::to_string(f.hi) + "]";
