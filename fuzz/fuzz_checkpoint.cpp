@@ -1,45 +1,28 @@
-// Fuzz target: the live checkpoint reader (domino/runtime/checkpoint.h).
+// Fuzz target: the four sealed-record readers — the live checkpoint
+// (domino/runtime/checkpoint.h), the fleet manifest (daemon.h), the shard
+// done marker (shard.h) and the lease (common/lease.h). Manifest, done and
+// lease bytes come from a shared filesystem, so they are as untrusted as a
+// checkpoint.
 //
-// Each input is parsed twice: once raw (exercising checksum rejection of
-// torn/corrupted writes) and once wrapped in a freshly computed checksum
-// (so the field parser behind the checksum gate is reached too).
+// Each input is parsed raw (exercising checksum rejection of torn or
+// corrupted writes) and again sealed with a freshly computed checksum (so
+// each field parser behind the checksum gate is reached too).
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <string>
 
+#include "common/lease.h"
 #include "common/parse.h"
+#include "common/sealed_record.h"
 #include "domino/runtime/checkpoint.h"
+#include "domino/runtime/daemon.h"
+#include "domino/runtime/shard.h"
 
 namespace {
 
-// FNV-1a, duplicated from checkpoint.cpp where it is file-private. Keeping
-// the harness's copy in sync matters only for coverage depth, not
-// correctness: a mismatch just means the wrapped variant stops at the
-// checksum gate like the raw one.
-std::uint64_t Fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::string Hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-}  // namespace
-
-extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
-                                      std::size_t size) {
+void ParseAll(const std::string& text) {
   using namespace domino;
   using namespace domino::runtime;
-  const std::string text(reinterpret_cast<const char*>(data), size);
   InputLimits lim;
   lim.max_checkpoint_bytes = 1 << 18;
   lim.max_checkpoint_entries = 4096;
@@ -49,10 +32,22 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   CheckpointFailure failure = CheckpointFailure::kNone;
   ParseCheckpoint(text, "", &cp, &error, &failure, lim);
   ParseCheckpoint(text, "fuzz-fingerprint", &cp, &error, &failure, lim);
+  FleetManifest manifest;
+  ParseFleetManifest(text, &manifest, &error);
+  ShardDoneRecord done;
+  ParseShardDone(text, &done, &error);
+  LeaseInfo lease;
+  ParseLease(text, &lease, &error);
+}
 
+}  // namespace
+
+extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
+                                      std::size_t size) {
+  const std::string text(reinterpret_cast<const char*>(data), size);
+  ParseAll(text);
   std::string body = text;
   if (!body.empty() && body.back() != '\n') body += '\n';
-  const std::string sealed = body + "checksum " + Hex64(Fnv1a(body)) + "\n";
-  ParseCheckpoint(sealed, "", &cp, &error, &failure, lim);
+  ParseAll(domino::Seal(body));
   return 0;
 }

@@ -2,8 +2,12 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <string_view>
+
+#include "common/sealed_record.h"
 
 #if !defined(_WIN32)
 #include <fcntl.h>
@@ -15,6 +19,29 @@
 
 namespace domino {
 
+namespace {
+
+/// Makes a rename into `path`'s directory durable. Best-effort: some
+/// filesystems refuse O_DIRECTORY fsync, and by then the target is already
+/// valid-or-previous under SIGKILL either way.
+void SyncParentDir(const std::string& path) {
+#if !defined(_WIN32)
+  const std::size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos
+                              ? std::string(".")
+                              : path.substr(0, slash == 0 ? 1 : slash);
+  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (dfd >= 0) {
+    (void)::fsync(dfd);
+    ::close(dfd);
+  }
+#else
+  (void)path;
+#endif
+}
+
+}  // namespace
+
 const std::string& AtomicTempSuffix() {
   // pid alone can collide across boxes on a shared filesystem, so mix in
   // the process start instant. Computed once: one process writes its temp
@@ -25,17 +52,14 @@ const std::string& AtomicTempSuffix() {
 #else
     const unsigned long long pid = static_cast<unsigned long long>(::getpid());
 #endif
-    unsigned long long h = 1469598103934665603ULL;
-    const unsigned long long boot = static_cast<unsigned long long>(
-        std::chrono::steady_clock::now().time_since_epoch().count());
-    for (unsigned long long v : {pid, boot}) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (i * 8)) & 0xff;
-        h *= 1099511628211ULL;
-      }
-    }
+    const unsigned long long words[2] = {
+        pid, static_cast<unsigned long long>(
+                 std::chrono::steady_clock::now().time_since_epoch().count())};
+    const std::uint64_t h = Fnv1a64(
+        std::string_view(reinterpret_cast<const char*>(words), sizeof(words)));
     char buf[32];
-    std::snprintf(buf, sizeof(buf), ".tmp.%08llx", h & 0xffffffffULL);
+    std::snprintf(buf, sizeof(buf), ".tmp.%08llx",
+                  static_cast<unsigned long long>(h & 0xffffffffULL));
     return std::string(buf);
   }();
   return suffix;
@@ -105,6 +129,85 @@ int DiskFaultInjector::OnWrite(std::size_t payload_bytes,
   return 0;
 }
 
+bool StageFile(const std::string& staging, const std::string& target,
+               const std::string& body, bool fsync_file,
+               DiskFaultInjector* fault, bool* publish_fault,
+               std::string* error) {
+  auto fail = [&](const std::string& why) {
+    if (error != nullptr) *error = why;
+    return false;
+  };
+  *publish_fault = false;
+  std::size_t cap = body.size();
+  DiskFaultSpec::Kind inj = DiskFaultSpec::Kind::kNone;
+  if (fault != nullptr && fault->OnWrite(body.size(), &cap) != 0) {
+    inj = fault->last_fault_kind();
+  }
+  // A fault is injected at the protocol stage its kind names, so each stage
+  // of the durable write (write, fsync, publish) is separately provable:
+  // the target never changes on any failure, whatever the stage.
+  const std::string injected =
+      inj == DiskFaultSpec::Kind::kNone
+          ? std::string()
+          : " (injected " + fault->last_fault_name() + ")";
+  if (inj == DiskFaultSpec::Kind::kEnospc ||
+      inj == DiskFaultSpec::Kind::kEio) {
+    // Full-write fault: fail before touching the filesystem, like a
+    // write() that returned -1 immediately.
+    return fail("write '" + target + "' failed" + injected);
+  }
+#if defined(_WIN32)
+  {
+    std::ofstream f(staging, std::ios::binary | std::ios::trunc);
+    if (!f) return fail("cannot open '" + staging + "' for writing");
+    f.write(body.data(), static_cast<std::streamsize>(cap));
+    f.flush();
+    if (!f) return fail("write to '" + staging + "' failed");
+  }
+  if (inj == DiskFaultSpec::Kind::kShortWrite ||
+      inj == DiskFaultSpec::Kind::kFsync) {
+    return fail("write '" + target + "' failed" + injected);
+  }
+#else
+  const int fd = ::open(staging.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return fail("cannot open '" + staging + "' for writing");
+  std::size_t off = 0;
+  while (off < cap) {
+    const ssize_t n = ::write(fd, body.data() + off, cap - off);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      ::unlink(staging.c_str());
+      return fail("write to '" + staging + "' failed");
+    }
+    off += static_cast<std::size_t>(n);
+  }
+  if (inj == DiskFaultSpec::Kind::kShortWrite) {
+    // Short write: leave the torn staging file behind for postmortems; the
+    // target is untouched because the publish never happens.
+    ::close(fd);
+    return fail("write '" + target + "' failed" + injected);
+  }
+  if (inj == DiskFaultSpec::Kind::kFsync ||
+      (fsync_file && ::fsync(fd) != 0)) {
+    // Durability refused: data may sit in the page cache, but the protocol
+    // cannot promise it survives a power cut — the write must fail and the
+    // previous target content stays the published truth.
+    ::close(fd);
+    ::unlink(staging.c_str());
+    return fail("fsync of '" + staging + "' failed" + injected);
+  }
+  if (::close(fd) != 0) {
+    ::unlink(staging.c_str());
+    return fail("close of '" + staging + "' failed");
+  }
+#endif
+  // An injected rename fault leaves the complete staging file unpublished:
+  // the one crash window the durable protocol leaves, now reproducible.
+  *publish_fault = inj == DiskFaultSpec::Kind::kRename;
+  return true;
+}
+
 bool AtomicWriteFile(const std::string& path, const std::string& body,
                      bool fsync_file, DiskFaultInjector* fault,
                      std::string* error) {
@@ -113,102 +216,21 @@ bool AtomicWriteFile(const std::string& path, const std::string& body,
     return false;
   };
   const std::string tmp = path + AtomicTempSuffix();
-  std::size_t cap = body.size();
-  int injected = 0;
-  DiskFaultSpec::Kind inj_kind = DiskFaultSpec::Kind::kNone;
-  if (fault != nullptr) {
-    injected = fault->OnWrite(body.size(), &cap);
-    if (injected != 0) inj_kind = fault->last_fault_kind();
+  bool publish_fault = false;
+  if (!StageFile(tmp, path, body, fsync_file, fault, &publish_fault,
+                 error)) {
+    return false;
   }
-  // A fault is injected at the protocol stage its kind names, so each stage
-  // of the atomic write (write, fsync, rename) is separately provable: the
-  // target file never changes on any failure, whatever the stage.
-  const bool inj_write = injected != 0 &&
-                         (inj_kind == DiskFaultSpec::Kind::kEnospc ||
-                          inj_kind == DiskFaultSpec::Kind::kEio);
-  const bool inj_short =
-      injected != 0 && inj_kind == DiskFaultSpec::Kind::kShortWrite;
-  const bool inj_fsync =
-      injected != 0 && inj_kind == DiskFaultSpec::Kind::kFsync;
-  const bool inj_rename =
-      injected != 0 && inj_kind == DiskFaultSpec::Kind::kRename;
-  if (inj_write) {
-    // Full-write fault: fail before touching the filesystem, like a
-    // write() that returned -1 immediately.
-    return fail("write '" + path + "' failed (injected " +
-                fault->last_fault_name() + ")");
-  }
-#if defined(_WIN32)
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) return fail("cannot open '" + tmp + "' for writing");
-    f.write(body.data(), static_cast<std::streamsize>(cap));
-    f.flush();
-    if (!f) return fail("write to '" + tmp + "' failed");
-  }
-  if (inj_short || inj_fsync) {
-    // Short write: the torn temp file stays behind, the target does not
-    // change — exactly what a mid-write device error leaves on disk.
-    return fail("write '" + path + "' failed (injected " +
-                fault->last_fault_name() + ")");
-  }
-  if (inj_rename) {
+  if (publish_fault) {
     return fail("rename '" + tmp + "' -> '" + path + "' failed (injected " +
                 fault->last_fault_name() + ")");
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
     return fail("rename '" + tmp + "' -> '" + path + "' failed");
   }
+  if (fsync_file) SyncParentDir(path);
   return true;
-#else
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return fail("cannot open '" + tmp + "' for writing");
-  std::size_t off = 0;
-  while (off < cap) {
-    const ssize_t n = ::write(fd, body.data() + off, cap - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return fail("write to '" + tmp + "' failed");
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (inj_short) {
-    // Short write: leave the torn temp file behind for postmortems; the
-    // target file is untouched because the rename never happens.
-    ::close(fd);
-    return fail("write '" + path + "' failed (injected " +
-                fault->last_fault_name() + ")");
-  }
-  if (inj_fsync || (fsync_file && ::fsync(fd) != 0)) {
-    // Durability refused: data may sit in the page cache, but the protocol
-    // cannot promise it survives a power cut — the write must fail and the
-    // previous target content stays the published truth.
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    if (inj_fsync) {
-      return fail("fsync of '" + tmp + "' failed (injected " +
-                  fault->last_fault_name() + ")");
-    }
-    return fail("fsync of '" + tmp + "' failed");
-  }
-  if (::close(fd) != 0) {
-    ::unlink(tmp.c_str());
-    return fail("close of '" + tmp + "' failed");
-  }
-  if (inj_rename) {
-    // The fully written, fsynced temp file exists but was never published:
-    // the one crash window the atomic protocol leaves, now reproducible.
-    return fail("rename '" + tmp + "' -> '" + path + "' failed (injected " +
-                fault->last_fault_name() + ")");
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return fail("rename '" + tmp + "' -> '" + path + "' failed");
-  }
-  return true;
-#endif
 }
 
 }  // namespace domino

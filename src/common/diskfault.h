@@ -1,14 +1,16 @@
 // Deterministic disk-fault injection for durability-critical writes.
 //
-// The live runtime and the fleet daemon persist three kinds of state —
-// per-session checkpoints, the fleet manifest, and JSON reports/status
-// files. Environmental faults (full disk, dying device) hit exactly those
-// writes, and "what happens when the checkpoint write fails" must be a
-// tested code path, not a hope. This shim makes such faults reproducible:
-// an injector counts the guarded writes it sees and fails the Nth one with
-// a chosen errno (ENOSPC, EIO) or a short write, deterministically, so a
-// test or chaos gate can assert the exact degradation path (retry, backoff,
-// quarantine — never a daemon abort).
+// The live runtime and the fleet daemon persist their state — per-session
+// checkpoints, the fleet manifest, shard done markers, leases, and JSON
+// reports/status files — through one durable writer (AtomicWriteFile
+// below; the lease publishes through its staging half). Environmental
+// faults (full disk, dying device) hit exactly those writes, and "what
+// happens when the checkpoint write fails" must be a tested code path, not
+// a hope. This shim makes such faults reproducible: an injector counts the
+// guarded writes it sees and fails the Nth one with a chosen errno (ENOSPC,
+// EIO) or a short write, deterministically, so a test or chaos gate can
+// assert the exact degradation path (retry, backoff, quarantine — never a
+// daemon abort).
 //
 // The injector is plumbed explicitly (a pointer parameter, nullptr = no
 // faults) rather than through a global so concurrent sessions in one fleet
@@ -94,12 +96,28 @@ class DiskFaultInjector {
 /// loser's publish either fully replaces the winner's or never lands.
 const std::string& AtomicTempSuffix();
 
-/// Atomic text-file write (temp + rename) with optional fault injection
-/// and optional fsync durability. Used for the fleet manifest (fsync) and
-/// the fleet_status.json liveness file (no fsync: advisory, refreshed
-/// every tick). Returns false on failure — injected or real — with
-/// `*error` describing it; the previous file, if any, is left untouched.
-/// The staging file is `path + AtomicTempSuffix()`.
+/// The staging half of a durable write, shared by AtomicWriteFile and the
+/// lease's exclusive link(2) publish: writes `body` to `staging`, fsyncs it
+/// when `fsync_file`, and fails an injected fault at the stage its kind
+/// names (`target` is the path the caller will publish, for messages).
+/// Returns false with `*error` set when the write or fsync fails; the
+/// staging file is removed, except after a short write, which leaves it
+/// torn for postmortems. An injected kRename fault returns true with
+/// `*publish_fault` set: the complete staging file is in place and the
+/// caller must fail its publish step instead of running it.
+bool StageFile(const std::string& staging, const std::string& target,
+               const std::string& body, bool fsync_file,
+               DiskFaultInjector* fault, bool* publish_fault,
+               std::string* error);
+
+/// The durable write every state and output file goes through: stage to
+/// `path + AtomicTempSuffix()` (StageFile), rename over `path`, and with
+/// `fsync_file` also fsync the parent directory (best-effort) so the
+/// rename survives a power cut. Checkpoints, the fleet manifest, shard
+/// done markers and lease heartbeats use fsync; reports, the status file
+/// and `.dtb` captures do not. Returns false on failure — injected or real
+/// — with `*error` (if non-null) describing it; the previous file, if any,
+/// is left untouched.
 bool AtomicWriteFile(const std::string& path, const std::string& body,
                      bool fsync_file, DiskFaultInjector* fault,
                      std::string* error);

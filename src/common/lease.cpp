@@ -3,14 +3,13 @@
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "common/parse.h"
+#include "common/sealed_record.h"
 
 #if !defined(_WIN32)
-#include <fcntl.h>
 #include <unistd.h>
 #endif
 
@@ -20,43 +19,15 @@ namespace {
 namespace fs = std::filesystem;
 
 /// A lease record is a handful of short lines; anything bigger at a lease
-/// path is garbage and must not be slurped.
-constexpr std::uintmax_t kMaxLeaseBytes = 64 << 10;
-
-std::uint64_t Fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::string Hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
+/// path is garbage and must not be read.
+constexpr std::uint64_t kMaxLeaseBytes = 64 << 10;
+constexpr const char* kLeaseHeader = "domino-lease v1";
 
 std::string U64(std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%llu",
                 static_cast<unsigned long long>(v));
   return buf;
-}
-
-bool SlurpSmall(const std::string& path, std::string* out) {
-  std::error_code ec;
-  const std::uintmax_t size = fs::file_size(path, ec);
-  if (ec || size > kMaxLeaseBytes) return false;
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return false;
-  std::ostringstream os;
-  os << f.rdbuf();
-  if (f.bad()) return false;
-  *out = os.str();
-  return true;
 }
 
 /// Parses the "e<digits>" name of an epoch/heartbeat/stale entry.
@@ -152,24 +123,23 @@ void GcDebris(const std::string& dir, std::uint64_t own_token) {
   }
 }
 
-bool ReadLeaseFile(const std::string& dir, LeaseInfo* out) {
-  std::string text;
-  if (!SlurpSmall(LeasePath(dir), &text)) return false;
-  std::string err;
-  return ParseLease(text, out, &err);
+/// Reads and verifies the lease or heartbeat record at `path`.
+bool ReadLeaseRecord(const std::string& path, LeaseInfo* out) {
+  std::string text, err;
+  return ReadFileBounded(path, kMaxLeaseBytes, &text) == FileRead::kOk &&
+         ParseLease(text, out, &err);
 }
 
 }  // namespace
 
 std::string FormatLease(const LeaseInfo& info) {
   std::ostringstream os;
-  os << "domino-lease v1\n";
+  os << kLeaseHeader << "\n";
   os << "owner " << info.owner << "\n";
   os << "token " << info.token << "\n";
   os << "seq " << info.seq << "\n";
   os << "renewed_unix_ms " << info.renewed_unix_ms << "\n";
-  std::string body = os.str();
-  return body + "checksum " + Hex64(Fnv1a(body)) + "\n";
+  return Seal(os.str());
 }
 
 bool ParseLease(const std::string& text, LeaseInfo* out, std::string* error) {
@@ -177,37 +147,16 @@ bool ParseLease(const std::string& text, LeaseInfo* out, std::string* error) {
     if (error != nullptr) *error = "lease: " + why;
     return false;
   };
-  // Checksum first: a torn record must be rejected before any field is
-  // trusted (same protocol as checkpoints and manifests).
-  std::size_t mark = text.rfind("checksum ");
-  if (mark == std::string::npos || (mark != 0 && text[mark - 1] != '\n')) {
-    return fail("missing checksum line");
-  }
-  std::string body = text.substr(0, mark);
-  std::istringstream tail(text.substr(mark));
-  std::string word, digest;
-  tail >> word >> digest;
-  if (digest != Hex64(Fnv1a(body))) {
-    return fail("checksum mismatch (torn or corrupted write)");
-  }
-  if (text.substr(mark) != "checksum " + digest + "\n") {
-    return fail("trailing bytes after checksum line");
-  }
+  std::string_view body, line;
+  std::string why;
+  if (!Unseal(text, kLeaseHeader, &body, &why)) return fail(why);
 
   LeaseInfo rec;
   bool saw_owner = false, saw_token = false;
-  std::istringstream is(body);
-  std::string line;
-  if (!std::getline(is, line) || line != "domino-lease v1") {
-    return fail("bad header (want 'domino-lease v1')");
-  }
-  while (std::getline(is, line)) {
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key;
-    std::string value;
-    std::getline(ls, value);
-    if (!value.empty() && value.front() == ' ') value.erase(0, 1);
+  while (NextLine(&body, &line)) {
+    RecordLine r(line);
+    const std::string_view key = r.key();
+    const std::string value(r.rest());
     if (key == "owner") {
       if (value.empty()) return fail("empty owner");
       rec.owner = value;
@@ -229,7 +178,7 @@ bool ParseLease(const std::string& text, LeaseInfo* out, std::string* error) {
       // The checksum already proved these bytes are exactly what a writer
       // produced, so an unknown key is version skew — refuse rather than
       // trust half a record.
-      return fail("unknown key '" + key + "'");
+      return fail("unknown key '" + std::string(key) + "'");
     }
   }
   if (!saw_owner || !saw_token) return fail("missing owner/token");
@@ -291,33 +240,20 @@ LeaseAcquire LeaseFile::TryAcquire(std::int64_t now_ms,
   const std::string body = FormatLease(mine);
   const std::string tmp = lease_dir_ + "/tmp-e" + U64(token);
 
-  // The publish is one guarded write; an injected fault fails it at the
-  // stage its kind names, mirroring AtomicWriteFile so the chaos gates can
-  // prove acquisition is atomic under every stage's failure.
-  std::size_t cap = body.size();
-  int injected = 0;
-  DiskFaultSpec::Kind inj_kind = DiskFaultSpec::Kind::kNone;
-  if (fault != nullptr) {
-    injected = fault->OnWrite(body.size(), &cap);
-    if (injected != 0) inj_kind = fault->last_fault_kind();
+  // The publish is one guarded write, staged like every other durable
+  // write so the chaos gates can prove acquisition is atomic under every
+  // stage's failure; only the publish step differs.
+  bool publish_fault = false;
+  std::string werr;
+  if (!StageFile(tmp, lease_path, body, /*fsync_file=*/true, fault,
+                 &publish_fault, &werr)) {
+    return fail("lease: " + werr);
   }
-  if (injected != 0 && (inj_kind == DiskFaultSpec::Kind::kEnospc ||
-                        inj_kind == DiskFaultSpec::Kind::kEio)) {
-    return fail("lease: write '" + lease_path + "' failed (injected " +
+  if (publish_fault) {
+    return fail("lease: link of '" + lease_path + "' failed (injected " +
                 fault->last_fault_name() + ")");
   }
 #if defined(_WIN32)
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) return fail("lease: cannot open '" + tmp + "' for writing");
-    f.write(body.data(), static_cast<std::streamsize>(cap));
-    f.flush();
-    if (!f) return fail("lease: write to '" + tmp + "' failed");
-  }
-  if (injected != 0) {
-    return fail("lease: publish of '" + lease_path + "' failed (injected " +
-                fault->last_fault_name() + ")");
-  }
   // Compile-only fallback: Windows has no link(2); exists-check + rename
   // is not atomic, which is acceptable on a non-production platform.
   if (fs::exists(lease_path, ec)) {
@@ -329,46 +265,6 @@ LeaseAcquire LeaseFile::TryAcquire(std::int64_t now_ms,
     return fail("lease: publish rename to '" + lease_path + "' failed");
   }
 #else
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return fail("lease: cannot open '" + tmp + "' for writing");
-  std::size_t off = 0;
-  while (off < cap) {
-    const ssize_t n = ::write(fd, body.data() + off, cap - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return fail("lease: write to '" + tmp + "' failed");
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (injected != 0 && inj_kind == DiskFaultSpec::Kind::kShortWrite) {
-    // Torn temp file stays behind for postmortems; the lease itself is
-    // untouched because the link never happens.
-    ::close(fd);
-    return fail("lease: write '" + lease_path + "' failed (injected " +
-                fault->last_fault_name() + ")");
-  }
-  if ((injected != 0 && inj_kind == DiskFaultSpec::Kind::kFsync) ||
-      ::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    if (injected != 0 && inj_kind == DiskFaultSpec::Kind::kFsync) {
-      return fail("lease: fsync of '" + tmp + "' failed (injected " +
-                  fault->last_fault_name() + ")");
-    }
-    return fail("lease: fsync of '" + tmp + "' failed");
-  }
-  if (::close(fd) != 0) {
-    ::unlink(tmp.c_str());
-    return fail("lease: close of '" + tmp + "' failed");
-  }
-  if (injected != 0 && inj_kind == DiskFaultSpec::Kind::kRename) {
-    // Fully written and fsynced but never published — the link-stage crash
-    // window, now reproducible. The temp file stays for postmortems.
-    return fail("lease: link of '" + lease_path + "' failed (injected " +
-                fault->last_fault_name() + ")");
-  }
   // link(2), not rename: it fails with EEXIST when a lease already exists,
   // which is the whole point — exactly one publisher wins, and an existing
   // lease is never silently replaced.
@@ -393,7 +289,8 @@ LeaseRenew LeaseFile::Renew(std::int64_t now_ms, DiskFaultInjector* fault,
     return LeaseRenew::kLost;
   }
   LeaseInfo cur;
-  if (!ReadLeaseFile(lease_dir_, &cur) || cur.token != info_.token) {
+  if (!ReadLeaseRecord(LeasePath(lease_dir_), &cur) ||
+      cur.token != info_.token) {
     // Stolen (or retired): the new owner's files must not be touched.
     held_ = false;
     if (error != nullptr) {
@@ -424,7 +321,8 @@ bool LeaseFile::Release(std::string* error) {
   if (!held_) return true;
   held_ = false;
   LeaseInfo cur;
-  if (!ReadLeaseFile(lease_dir_, &cur) || cur.token != info_.token) {
+  if (!ReadLeaseRecord(LeasePath(lease_dir_), &cur) ||
+      cur.token != info_.token) {
     // Already stolen — the lease on disk belongs to the new owner.
     return true;
   }
@@ -445,12 +343,10 @@ bool LeaseFile::Release(std::string* error) {
 
 bool InspectLease(const std::string& lease_dir, LeaseInfo* out) {
   LeaseInfo lease;
-  if (!ReadLeaseFile(lease_dir, &lease)) return false;
-  std::string hb_text;
+  if (!ReadLeaseRecord(LeasePath(lease_dir), &lease)) return false;
   LeaseInfo hb;
-  std::string err;
-  if (SlurpSmall(HeartbeatPath(lease_dir, lease.token), &hb_text) &&
-      ParseLease(hb_text, &hb, &err) && hb.token == lease.token &&
+  if (ReadLeaseRecord(HeartbeatPath(lease_dir, lease.token), &hb) &&
+      hb.token == lease.token &&
       hb.renewed_unix_ms > lease.renewed_unix_ms) {
     lease.seq = hb.seq;
     lease.renewed_unix_ms = hb.renewed_unix_ms;
@@ -461,7 +357,7 @@ bool InspectLease(const std::string& lease_dir, LeaseInfo* out) {
 
 bool LeaseTokenCurrent(const std::string& lease_dir, std::uint64_t token) {
   LeaseInfo cur;
-  return ReadLeaseFile(lease_dir, &cur) && cur.token == token;
+  return ReadLeaseRecord(LeasePath(lease_dir), &cur) && cur.token == token;
 }
 
 }  // namespace domino

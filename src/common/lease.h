@@ -64,8 +64,8 @@ struct LeaseInfo {
   std::int64_t renewed_unix_ms = 0;
 };
 
-/// Serializes a lease record in the repo's checksummed line format
-/// ("domino-lease v1" ... "checksum <hex64>"). The owner must be a single
+/// Serializes a lease record as a sealed record (common/sealed_record.h:
+/// "domino-lease v1" ... "checksum <hex64>"). The owner must be a single
 /// line; embedded newlines are rejected at parse time.
 std::string FormatLease(const LeaseInfo& info);
 

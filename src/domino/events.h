@@ -63,6 +63,9 @@ std::string ToString(const EventRef& ref);
 std::optional<EventType> EventTypeFromName(const std::string& name);
 /// All canonical built-in event names (for diagnostics and suggestions).
 std::vector<std::string> KnownEventNames();
+/// True for the built-ins scoped to a path leg (events 13-20), where
+/// `name@rev` swaps the fwd and rev scopes; the others ignore the leg.
+bool IsLegScoped(EventType type);
 
 /// Tunable thresholds for the built-in conditions (paper defaults).
 struct EventThresholds {

@@ -229,10 +229,16 @@ LintResult LintConfigText(const std::string& text, const LintOptions& opts) {
                      base_name);
         }
         (void)ev;
-      } else if (EventTypeFromName(base_name).has_value() ||
-                 base.FindNode(node) >= 0) {
-        // Built-in event or existing graph node: fine.
-      } else {
+      } else if (const auto type = EventTypeFromName(base_name)) {
+        if (leg == PathLeg::kRev && !IsLegScoped(*type)) {
+          sink.Warning("DL214", span,
+                       "built-in '" + base_name +
+                           "' names its series explicitly and ignores the "
+                           "leg; '@rev' evaluates the same condition as '" +
+                           base_name + "'",
+                       base_name);
+        }
+      } else if (base.FindNode(node) < 0) {
         std::string hint = lint::DidYouMean(base_name, candidates);
         sink.Error("DL208", span,
                    "unknown chain node '" + node +

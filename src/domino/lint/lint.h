@@ -4,7 +4,8 @@
 //   1. multi-error parse (ParseConfigChecked, which itself folds in the
 //      expression front-end's syntax/type/range/unit diagnostics),
 //   2. chain-node resolution against built-ins, custom events, and the base
-//      graph, with did-you-mean suggestions (DL208/DL209),
+//      graph, with did-you-mean suggestions (DL208/DL209), and `@rev` on a
+//      built-in that ignores the leg (DL214),
 //   3. config-level structure checks: duplicate chains, unused events,
 //       2-node chains, role conflicts with the base graph (DL210-DL212,
 //      DL302),

@@ -143,6 +143,8 @@ std::optional<EventType> EventTypeFromName(const std::string& name) {
   return std::nullopt;
 }
 
+bool IsLegScoped(EventType type) { return kEntries[Index(type)].leg_scoped; }
+
 std::vector<std::string> KnownEventNames() {
   std::vector<std::string> out;
   for (const Entry& e : kEntries) out.emplace_back(e.name);

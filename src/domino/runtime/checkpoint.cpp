@@ -1,58 +1,14 @@
 #include "domino/runtime/checkpoint.h"
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
-#if !defined(_WIN32)
-#include <cerrno>
-#include <fcntl.h>
-#include <unistd.h>
-#endif
+#include "common/sealed_record.h"
 
 namespace domino::runtime {
 
 namespace {
 
 constexpr const char* kHeader = "domino-live-checkpoint v1";
-
-std::uint64_t Fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::string Hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-/// Tokenising line parser with typed accessors; any failure poisons the
-/// parse (checked once at the end).
-class Reader {
- public:
-  explicit Reader(std::istringstream& is) : is_(is) {}
-  std::int64_t I() {
-    std::int64_t v = 0;
-    if (!(is_ >> v)) ok_ = false;
-    return v;
-  }
-  std::uint64_t U() {
-    std::uint64_t v = 0;
-    if (!(is_ >> v)) ok_ = false;
-    return v;
-  }
-  [[nodiscard]] bool ok() const { return ok_; }
-
- private:
-  std::istringstream& is_;
-  bool ok_ = true;
-};
 
 }  // namespace
 
@@ -101,8 +57,7 @@ std::string FormatCheckpoint(const LiveCheckpoint& cp) {
        << t.rows_total << " " << t.rows_kept << " " << t.rows_dropped
        << "\n";
   }
-  std::string body = os.str();
-  return body + "checksum " + Hex64(Fnv1a(body)) + "\n";
+  return Seal(os.str());
 }
 
 bool ParseCheckpoint(const std::string& text,
@@ -111,65 +66,38 @@ bool ParseCheckpoint(const std::string& text,
                      CheckpointFailure* failure, const InputLimits& limits) {
   if (failure != nullptr) *failure = CheckpointFailure::kCorrupt;
   auto fail = [&](const std::string& why) {
-    if (error != nullptr) *error = why;
+    if (error != nullptr) *error = "checkpoint: " + why;
     return false;
   };
   if (text.size() > limits.max_checkpoint_bytes) {
-    return fail("checkpoint: " + std::to_string(text.size()) +
-                " bytes exceeds the " +
+    return fail(std::to_string(text.size()) + " bytes exceeds the " +
                 std::to_string(limits.max_checkpoint_bytes) +
                 "-byte budget");
   }
-  // Split off and verify the trailing checksum line first: a torn write
-  // must be rejected before any field is trusted.
-  std::size_t mark = text.rfind("checksum ");
-  if (mark == std::string::npos || (mark != 0 && text[mark - 1] != '\n')) {
-    return fail("checkpoint: missing checksum line");
-  }
-  std::string body = text.substr(0, mark);
-  std::istringstream tail(text.substr(mark));
-  std::string word, digest;
-  tail >> word >> digest;
-  if (digest != Hex64(Fnv1a(body))) {
-    return fail("checkpoint: checksum mismatch (torn or corrupted write)");
-  }
-  // The checksum line must also be the *last* line: bytes after it are
-  // outside the digest and would otherwise go unnoticed.
-  if (text.substr(mark) != "checksum " + digest + "\n") {
-    return fail("checkpoint: trailing bytes after checksum line");
-  }
+  std::string_view body, line;
+  std::string why;
+  if (!Unseal(text, kHeader, &body, &why)) return fail(why);
 
   LiveCheckpoint out;
-  std::istringstream is(body);
-  std::string line;
-  if (!std::getline(is, line) || line != kHeader) {
-    return fail("checkpoint: bad or unsupported version header");
-  }
   bool ok = true;
   std::size_t entries = 0;
-  while (std::getline(is, line)) {
+  while (NextLine(&body, &line)) {
     if (line.empty()) continue;
     if (++entries > limits.max_checkpoint_entries) {
-      return fail("checkpoint: more than " +
+      return fail("more than " +
                   std::to_string(limits.max_checkpoint_entries) +
                   " entries");
     }
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key;
-    Reader r(ls);
+    RecordLine r(line);
+    const std::string_view key = r.key();
     if (key == "fingerprint") {
-      std::string rest;
-      std::getline(ls, rest);
-      if (!rest.empty() && rest.front() == ' ') rest.erase(0, 1);
-      out.fingerprint = rest;
+      out.fingerprint = r.rest();
     } else if (key == "cursor") {
       out.next_begin = Time{r.I()};
       out.ingest_limit = Time{r.I()};
       out.retention_cut = Time{r.I()};
       out.anchor = Time{r.I()};
       out.poll_count = r.I();
-      ok = ok && r.ok();
     } else if (key == "counters") {
       out.windows = r.I();
       out.chains = r.I();
@@ -177,37 +105,31 @@ bool ParseCheckpoint(const std::string& text,
       out.resets = r.I();
       out.checkpoints_written = r.I();
       out.chainlog_bytes = r.U();
-      ok = ok && r.ok();
     } else if (key == "cadence") {
       out.last_checkpoint_windows = r.I();
-      ok = ok && r.ok() && out.last_checkpoint_windows >= 0;
+      ok = ok && out.last_checkpoint_windows >= 0;
     } else if (key == "retention") {
       out.retention_cuts = r.I();
       out.evicted_records = r.U();
       out.peak_retained_records = r.U();
       out.peak_retained_span = Duration{r.I()};
-      ok = ok && r.ok();
     } else if (key == "ranking") {
       out.windows_seen = r.I();
       out.windows_with_chain = r.I();
       out.insufficient_windows = r.I();
-      ok = ok && r.ok();
     } else if (key == "cause") {
       int idx = static_cast<int>(r.I());
       long a = r.I(), w = r.I();
-      ok = ok && r.ok();
       out.cause[idx] = {a, w};
     } else if (key == "chain") {
       int idx = static_cast<int>(r.I());
       long c = r.I(), i = r.I();
-      ok = ok && r.ok();
       out.chain_tally[idx] = {c, i};
     } else if (key == "shed") {
       ShedRange s;
       s.begin = Time{r.I()};
       s.end = Time{r.I()};
       s.windows = r.I();
-      ok = ok && r.ok();
       out.shed.push_back(s);
     } else if (key == "stall") {
       std::size_t i = static_cast<std::size_t>(r.I());
@@ -215,7 +137,7 @@ bool ParseCheckpoint(const std::string& text,
       s.stall_events = r.I();
       s.recoveries = r.I();
       s.stalled = r.I() != 0;
-      ok = ok && r.ok() && i < out.stalls.size();
+      ok = ok && i < out.stalls.size();
       if (i < out.stalls.size()) out.stalls[i] = s;
     } else if (key == "tail") {
       std::size_t i = static_cast<std::size_t>(r.I());
@@ -227,21 +149,22 @@ bool ParseCheckpoint(const std::string& text,
       t.rows_total = static_cast<std::size_t>(r.U());
       t.rows_kept = static_cast<std::size_t>(r.U());
       t.rows_dropped = static_cast<std::size_t>(r.U());
-      ok = ok && r.ok() && i < out.tails.size();
+      ok = ok && i < out.tails.size();
       if (i < out.tails.size()) out.tails[i] = t;
     } else {
       // Unknown keys are an error: the checksum already guarantees the
       // bytes are exactly what a writer produced, so this is a version
       // skew we must not silently half-apply.
-      return fail("checkpoint: unknown key '" + key + "'");
+      return fail("unknown key '" + std::string(key) + "'");
     }
+    ok = ok && r.ok();
   }
-  if (!ok) return fail("checkpoint: malformed field");
+  if (!ok) return fail("malformed field");
   if (!expected_fingerprint.empty() &&
       out.fingerprint != expected_fingerprint) {
     if (failure != nullptr) *failure = CheckpointFailure::kFingerprintMismatch;
-    return fail("checkpoint: fingerprint mismatch (config or engine "
-                "changed since the checkpoint was written)");
+    return fail("fingerprint mismatch (config or engine changed since the "
+                "checkpoint was written)");
   }
   *cp = std::move(out);
   if (failure != nullptr) *failure = CheckpointFailure::kNone;
@@ -250,109 +173,36 @@ bool ParseCheckpoint(const std::string& text,
 
 bool SaveCheckpoint(const LiveCheckpoint& cp, const std::string& path,
                     DiskFaultInjector* fault) {
-  // Durability, not just atomicity: temp + rename alone survives SIGKILL
-  // but not power loss — the rename can hit the journal before the data
-  // blocks do, leaving a correctly-named empty/torn file after the crash.
-  // So: write temp, fsync the temp *file*, rename, then fsync the
-  // *directory* so the rename itself is durable. Any failure before the
-  // rename leaves the previous checkpoint untouched (the API contract).
-  // The staging name carries a process-unique suffix so a fenced zombie and
-  // the box that stole its lease can never tear each other's temp file while
-  // racing to publish the same path (diskfault.h, AtomicTempSuffix).
-  const std::string tmp = path + AtomicTempSuffix();
-  const std::string body = FormatCheckpoint(cp);
-  // Deterministic environmental-fault injection: ENOSPC/EIO fail the save
-  // before any bytes land; a short write persists half the temp file and
-  // leaves it torn on disk (the rename never happens, so the previous
-  // checkpoint survives — and a later load of the torn temp, were it ever
-  // renamed, would fail its checksum).
-  std::size_t cap = body.size();
-  int injected = 0;
-  if (fault != nullptr) injected = fault->OnWrite(body.size(), &cap);
-  if (injected != 0 && cap == body.size()) return false;
-#if defined(_WIN32)
-  {
-    std::ofstream f(tmp, std::ios::binary | std::ios::trunc);
-    if (!f) return false;
-    f.write(body.data(), static_cast<std::streamsize>(cap));
-    f.flush();
-    if (!f) return false;
-  }
-  if (injected != 0) return false;
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
-#else
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) return false;
-  std::size_t off = 0;
-  while (off < cap) {
-    const ssize_t n = ::write(fd, body.data() + off, cap - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      ::unlink(tmp.c_str());
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (injected != 0) {
-    // Injected short write: keep the torn temp file for postmortems.
-    ::close(fd);
-    return false;
-  }
-  if (::fsync(fd) != 0 || ::close(fd) != 0) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  // Directory fsync makes the rename durable. Best-effort: some
-  // filesystems refuse O_DIRECTORY fsync, and by this point the new
-  // checkpoint is already valid-or-previous under SIGKILL either way.
-  const std::size_t slash = path.find_last_of('/');
-  const std::string dir = slash == std::string::npos
-                              ? std::string(".")
-                              : path.substr(0, slash == 0 ? 1 : slash);
-  const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (dfd >= 0) {
-    (void)::fsync(dfd);
-    ::close(dfd);
-  }
-  return true;
-#endif
+  return AtomicWriteFile(path, FormatCheckpoint(cp), /*fsync_file=*/true,
+                         fault, /*error=*/nullptr);
 }
 
 bool LoadCheckpoint(const std::string& path,
                     const std::string& expected_fingerprint,
                     LiveCheckpoint* cp, std::string* error,
                     CheckpointFailure* failure, const InputLimits& limits) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) {
-    if (error != nullptr) error->clear();
-    if (failure != nullptr) *failure = CheckpointFailure::kMissing;
-    return false;
+  std::string text;
+  const FileRead read =
+      ReadFileBounded(path, limits.max_checkpoint_bytes, &text);
+  if (read == FileRead::kOk) {
+    return ParseCheckpoint(text, expected_fingerprint, cp, error, failure,
+                           limits);
   }
-  // Size-check before slurping: a multi-GB file at the checkpoint path is
-  // garbage (real checkpoints are a few KB) and must not be read into
-  // memory just to fail its checksum.
-  f.seekg(0, std::ios::end);
-  const std::streamoff size = f.tellg();
-  if (size < 0 ||
-      static_cast<std::uint64_t>(size) > limits.max_checkpoint_bytes) {
-    if (error != nullptr) {
-      *error = "checkpoint: file is " + std::to_string(size) +
-               " bytes; the budget is " +
-               std::to_string(limits.max_checkpoint_bytes);
+  if (failure != nullptr) {
+    *failure = read == FileRead::kMissing ? CheckpointFailure::kMissing
+                                          : CheckpointFailure::kCorrupt;
+  }
+  if (error != nullptr) {
+    if (read == FileRead::kMissing) {
+      error->clear();
+    } else if (read == FileRead::kTooLarge) {
+      *error = "checkpoint: file exceeds the " +
+               std::to_string(limits.max_checkpoint_bytes) + "-byte budget";
+    } else {
+      *error = "checkpoint: cannot read '" + path + "'";
     }
-    if (failure != nullptr) *failure = CheckpointFailure::kCorrupt;
-    return false;
   }
-  f.seekg(0);
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  return ParseCheckpoint(buf.str(), expected_fingerprint, cp, error, failure,
-                         limits);
+  return false;
 }
 
 }  // namespace domino::runtime

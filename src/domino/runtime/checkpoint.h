@@ -8,14 +8,14 @@
 // (chains past the offset were emitted after the checkpoint and will be
 // re-emitted deterministically).
 //
-// Durability protocol: serialise to `<path><AtomicTempSuffix()>` (a
-// process-unique `.tmp.<hex>` staging name), flush, then std::rename()
-// over `<path>` — on POSIX the rename is atomic, so a crash mid-write
-// leaves the previous checkpoint intact. The file is a
-// line-oriented `key values...` text format with a version header and a
-// trailing FNV-1a checksum over everything above it; Load rejects torn or
-// hand-edited files and a fingerprint mismatch (different config/engine
-// would not reproduce the same windows).
+// The file is a sealed record (common/sealed_record.h): a version header,
+// line-oriented `key values...` fields and a trailing FNV-1a checksum over
+// everything above it. Load rejects torn or hand-edited files and a
+// fingerprint mismatch (different config/engine would not reproduce the
+// same windows). Save goes through AtomicWriteFile (common/diskfault.h):
+// write a process-unique staging file, fsync it, rename it over `<path>`,
+// then fsync the directory, so a crash or power cut leaves either the
+// previous checkpoint or the new one intact.
 #pragma once
 
 #include <array>
@@ -116,19 +116,19 @@ bool ParseCheckpoint(const std::string& text,
                      CheckpointFailure* failure = nullptr,
                      const InputLimits& limits = {});
 
-/// Atomic write-to-temp-then-rename save. Returns false on I/O failure
-/// (the previous checkpoint, if any, is left untouched). `fault`, if
-/// non-null, is consulted once per save: an injected ENOSPC/EIO fails the
-/// write before any bytes land, and an injected short write leaves a torn
-/// staging file behind (the checkpoint itself stays previous-or-valid
-/// either way — the crash-safety contract holds under injection too).
+/// Durable save through AtomicWriteFile. Returns false on I/O failure (the
+/// previous checkpoint, if any, is left untouched). `fault`, if non-null,
+/// is consulted once per save and fails it at the stage the fault names:
+/// ENOSPC/EIO before any bytes land, a short write leaving a torn staging
+/// file, an fsync fault removing the staging file, a rename fault leaving
+/// the complete staging file unpublished.
 bool SaveCheckpoint(const LiveCheckpoint& cp, const std::string& path,
                     DiskFaultInjector* fault = nullptr);
 
 /// Loads and validates a checkpoint file. Missing file returns false with
 /// an empty error (a fresh start, not a failure). Files larger than
 /// limits.max_checkpoint_bytes are rejected as corrupt without being read
-/// into memory.
+/// into memory (ReadFileBounded).
 bool LoadCheckpoint(const std::string& path,
                     const std::string& expected_fingerprint,
                     LiveCheckpoint* cp, std::string* error,

@@ -10,6 +10,7 @@
 #include <sstream>
 #include <thread>
 
+#include "common/sealed_record.h"
 #include "domino/runtime/live.h"
 #include "domino/runtime/shard.h"
 
@@ -22,49 +23,8 @@ namespace {
 
 constexpr const char* kManifestHeader = "domino-fleet-manifest v1";
 /// Manifests are a few hundred bytes per session; anything bigger than
-/// this at the manifest path is garbage and must not be slurped.
-constexpr std::uintmax_t kMaxManifestBytes = 64ull << 20;
-
-std::uint64_t Fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::string Hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-/// Tokenising line parser with typed accessors; any failure poisons the
-/// parse (checked per line). Mirrors the checkpoint reader.
-class Reader {
- public:
-  explicit Reader(std::istringstream& is) : is_(is) {}
-  std::int64_t I() {
-    std::int64_t v = 0;
-    if (!(is_ >> v)) ok_ = false;
-    return v;
-  }
-  [[nodiscard]] bool ok() const { return ok_; }
-
- private:
-  std::istringstream& is_;
-  bool ok_ = true;
-};
-
-/// The rest of the line after the key, minus the single separator space.
-std::string RestOfLine(std::istringstream& ls) {
-  std::string rest;
-  std::getline(ls, rest);
-  if (!rest.empty() && rest.front() == ' ') rest.erase(0, 1);
-  return rest;
-}
+/// this at the manifest path is garbage and must not be read.
+constexpr std::uint64_t kMaxManifestBytes = 64ull << 20;
 
 int ManifestStatus(const SessionOutcome& o) {
   if (o.ok) return 1;
@@ -103,8 +63,7 @@ std::string FormatFleetManifest(const FleetManifest& m) {
       if (!o.error.empty()) os << "error " << o.error << "\n";
     }
   }
-  std::string body = os.str();
-  return body + "checksum " + Hex64(Fnv1a(body)) + "\n";
+  return Seal(os.str());
 }
 
 bool ParseFleetManifest(const std::string& text, FleetManifest* out,
@@ -113,29 +72,11 @@ bool ParseFleetManifest(const std::string& text, FleetManifest* out,
     if (error != nullptr) *error = "manifest: " + why;
     return false;
   };
-  // Checksum first: a torn manifest must be rejected before any field is
-  // trusted (same protocol as checkpoints).
-  std::size_t mark = text.rfind("checksum ");
-  if (mark == std::string::npos || (mark != 0 && text[mark - 1] != '\n')) {
-    return fail("missing checksum line");
-  }
-  std::string body = text.substr(0, mark);
-  std::istringstream tail(text.substr(mark));
-  std::string word, digest;
-  tail >> word >> digest;
-  if (digest != Hex64(Fnv1a(body))) {
-    return fail("checksum mismatch (torn or corrupted write)");
-  }
-  if (text.substr(mark) != "checksum " + digest + "\n") {
-    return fail("trailing bytes after checksum line");
-  }
+  std::string_view body, line;
+  std::string why;
+  if (!Unseal(text, kManifestHeader, &body, &why)) return fail(why);
 
   FleetManifest m;
-  std::istringstream is(body);
-  std::string line;
-  if (!std::getline(is, line) || line != kManifestHeader) {
-    return fail("bad or unsupported version header");
-  }
   bool have_config = false;
   ManifestEntry* cur = nullptr;
   bool cur_outcome = false, cur_summary = false;
@@ -149,12 +90,10 @@ bool ParseFleetManifest(const std::string& text, FleetManifest* out,
     cur->seed.outcome.summary.dataset_dir = cur->spec.dataset_dir;
     return true;
   };
-  while (std::getline(is, line)) {
+  while (NextLine(&body, &line)) {
     if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key;
-    Reader r(ls);
+    RecordLine r(line);
+    const std::string_view key = r.key();
     if (key == "config") {
       m.workers = static_cast<int>(r.I());
       m.max_attempts = static_cast<int>(r.I());
@@ -186,16 +125,16 @@ bool ParseFleetManifest(const std::string& text, FleetManifest* out,
       cur->seed.outcome.fenced = status == 3;
     } else if (key == "owner") {
       if (cur != nullptr) return fail("owner line inside a session");
-      m.owner = RestOfLine(ls);
+      m.owner = r.rest();
     } else if (key == "dataset") {
       if (cur == nullptr) return fail("dataset line outside a session");
-      cur->spec.dataset_dir = RestOfLine(ls);
+      cur->spec.dataset_dir = r.rest();
     } else if (key == "state") {
       if (cur == nullptr) return fail("state line outside a session");
-      cur->spec.state_dir = RestOfLine(ls);
+      cur->spec.state_dir = r.rest();
     } else if (key == "tenant") {
       if (cur == nullptr) return fail("tenant line outside a session");
-      cur->spec.tenant = RestOfLine(ls);
+      cur->spec.tenant = r.rest();
     } else if (key == "outcome") {
       if (cur == nullptr) return fail("outcome line outside a session");
       SessionOutcome& o = cur->seed.outcome;
@@ -222,12 +161,12 @@ bool ParseFleetManifest(const std::string& text, FleetManifest* out,
       cur_summary = true;
     } else if (key == "error") {
       if (cur == nullptr) return fail("error line outside a session");
-      cur->seed.outcome.error = RestOfLine(ls);
+      cur->seed.outcome.error = r.rest();
     } else {
       // The checksum already proved these bytes are exactly what a writer
       // produced, so an unknown key is version skew — refuse rather than
       // resume with half the state.
-      return fail("unknown key '" + key + "'");
+      return fail("unknown key '" + std::string(key) + "'");
     }
   }
   if (!finish_entry()) return fail("incomplete session entry");
@@ -245,24 +184,19 @@ bool SaveFleetManifest(const FleetManifest& m, const std::string& path,
 
 bool LoadFleetManifest(const std::string& path, FleetManifest* out,
                        std::string* error) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) {
-    if (error != nullptr) error->clear();
-    return false;
-  }
-  f.seekg(0, std::ios::end);
-  const std::streamoff size = f.tellg();
-  if (size < 0 || static_cast<std::uintmax_t>(size) > kMaxManifestBytes) {
-    if (error != nullptr) {
-      *error = "manifest: implausible size " + std::to_string(size) +
-               " bytes at " + path;
+  std::string text;
+  const FileRead read = ReadFileBounded(path, kMaxManifestBytes, &text);
+  if (read == FileRead::kOk) return ParseFleetManifest(text, out, error);
+  if (error != nullptr) {
+    if (read == FileRead::kMissing) {
+      error->clear();
+    } else {
+      *error = (read == FileRead::kTooLarge ? "manifest: implausibly large "
+                                            : "manifest: cannot read ") +
+               path;
     }
-    return false;
   }
-  f.seekg(0);
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  return ParseFleetManifest(buf.str(), out, error);
+  return false;
 }
 
 FleetManifest BuildFleetManifest(const FleetReport& report,
@@ -349,7 +283,7 @@ std::string SessionStateDirFor(const std::string& state_root,
   if (safe.empty()) safe = "session";
   // The path hash disambiguates same-named sessions under different roots
   // and keeps the mapping stable across daemon restarts.
-  return state_root + "/" + safe + "_" + Hex64(Fnv1a(dataset_dir));
+  return state_root + "/" + safe + "_" + Hex64(Fnv1a64(dataset_dir));
 }
 
 bool ParseTunablesFile(const std::string& path, DaemonTunables* out,

@@ -76,9 +76,9 @@ struct FleetManifest {
   std::vector<ManifestEntry> sessions;  ///< Admission order.
 };
 
-/// Serialises the manifest in the checksummed line-oriented format shared
-/// with checkpoints (torn writes fail the checksum, unknown keys fail the
-/// parse).
+/// Serialises the manifest as a sealed record (common/sealed_record.h),
+/// the format checkpoints use: torn writes fail the checksum, unknown keys
+/// fail the parse.
 std::string FormatFleetManifest(const FleetManifest& m);
 
 /// Parses and verifies a manifest document. On failure returns false with
@@ -86,14 +86,15 @@ std::string FormatFleetManifest(const FleetManifest& m);
 bool ParseFleetManifest(const std::string& text, FleetManifest* out,
                         std::string* error);
 
-/// Atomic (temp + rename), fsync'd, fault-injectable manifest write.
+/// Durable, fault-injectable manifest write (AtomicWriteFile, fsync'd).
 bool SaveFleetManifest(const FleetManifest& m, const std::string& path,
                        DiskFaultInjector* fault = nullptr,
                        std::string* error = nullptr);
 
 /// Loads `path`. Returns false with an *empty* error when the file does
-/// not exist (fresh start) and with a diagnostic when it exists but does
-/// not parse (the caller should refuse to guess).
+/// not exist (fresh start) and with a diagnostic when it exists but is
+/// larger than 64 MiB or does not parse (the caller should refuse to
+/// guess).
 bool LoadFleetManifest(const std::string& path, FleetManifest* out,
                        std::string* error);
 

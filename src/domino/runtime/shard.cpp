@@ -2,13 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/parse.h"
+#include "common/sealed_record.h"
 #include "domino/report.h"
 #include "domino/runtime/daemon.h"
 
@@ -19,39 +18,8 @@ namespace fs = std::filesystem;
 
 constexpr const char* kDoneHeader = "domino-shard-done v1";
 
-/// Done markers and manifests are small; anything bigger is garbage.
-constexpr std::uintmax_t kMaxDoneBytes = 64 << 10;
-constexpr std::uintmax_t kMaxManifestBytes = 64ull << 20;
-
-std::uint64_t Fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::string Hex64(std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-bool SlurpBounded(const std::string& path, std::uintmax_t cap,
-                  std::string* out) {
-  std::error_code ec;
-  const std::uintmax_t size = fs::file_size(path, ec);
-  if (ec || size > cap) return false;
-  std::ifstream f(path, std::ios::binary);
-  if (!f) return false;
-  std::ostringstream os;
-  os << f.rdbuf();
-  if (f.bad()) return false;
-  *out = os.str();
-  return true;
-}
+/// Done markers are small; anything bigger is garbage.
+constexpr std::uint64_t kMaxDoneBytes = 64 << 10;
 
 std::int64_t SystemNowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -61,6 +29,15 @@ std::int64_t SystemNowMs() {
 
 std::string DonePath(const std::string& lease_dir) {
   return lease_dir + "/done";
+}
+
+/// Reads and verifies the done marker under `lease_dir`; false if there is
+/// none or it is unreadable, oversized or corrupt.
+bool ReadDone(const std::string& lease_dir, ShardDoneRecord* rec) {
+  std::string text, err;
+  return ReadFileBounded(DonePath(lease_dir), kMaxDoneBytes, &text) ==
+             FileRead::kOk &&
+         ParseShardDone(text, rec, &err);
 }
 
 const char* StatusName(int status) {
@@ -105,8 +82,7 @@ std::string FormatShardDone(const ShardDoneRecord& rec) {
   os << "attempts " << rec.attempts << "\n";
   os << "windows " << rec.windows << "\n";
   os << "chains " << rec.chains << "\n";
-  std::string body = os.str();
-  return body + "checksum " + Hex64(Fnv1a(body)) + "\n";
+  return Seal(os.str());
 }
 
 bool ParseShardDone(const std::string& text, ShardDoneRecord* out,
@@ -115,35 +91,16 @@ bool ParseShardDone(const std::string& text, ShardDoneRecord* out,
     if (error != nullptr) *error = "shard-done: " + why;
     return false;
   };
-  std::size_t mark = text.rfind("checksum ");
-  if (mark == std::string::npos || (mark != 0 && text[mark - 1] != '\n')) {
-    return fail("missing checksum line");
-  }
-  std::string body = text.substr(0, mark);
-  std::istringstream tail(text.substr(mark));
-  std::string word, digest;
-  tail >> word >> digest;
-  if (digest != Hex64(Fnv1a(body))) {
-    return fail("checksum mismatch (torn or corrupted write)");
-  }
-  if (text.substr(mark) != "checksum " + digest + "\n") {
-    return fail("trailing bytes after checksum line");
-  }
+  std::string_view body, line;
+  std::string why;
+  if (!Unseal(text, kDoneHeader, &body, &why)) return fail(why);
 
   ShardDoneRecord rec;
   bool saw_dataset = false, saw_status = false;
-  std::istringstream is(body);
-  std::string line;
-  if (!std::getline(is, line) || line != kDoneHeader) {
-    return fail("bad header (want '" + std::string(kDoneHeader) + "')");
-  }
-  while (std::getline(is, line)) {
-    std::istringstream ls(line);
-    std::string key;
-    ls >> key;
-    std::string value;
-    std::getline(ls, value);
-    if (!value.empty() && value.front() == ' ') value.erase(0, 1);
+  while (NextLine(&body, &line)) {
+    RecordLine r(line);
+    const std::string_view key = r.key();
+    const std::string value(r.rest());
     std::int64_t n = 0;
     std::uint64_t u = 0;
     if (key == "dataset") {
@@ -177,7 +134,7 @@ bool ParseShardDone(const std::string& text, ShardDoneRecord* out,
       }
       rec.chains = static_cast<long>(n);
     } else {
-      return fail("unknown key '" + key + "'");
+      return fail("unknown key '" + std::string(key) + "'");
     }
   }
   if (!saw_dataset || !saw_status) return fail("missing dataset/status");
@@ -213,13 +170,8 @@ ClaimResult ShardCoordinator::TryClaim(const std::string& dataset_dir,
                                        std::string* error) {
   std::lock_guard<std::mutex> lk(mu_);
   const std::string dir = LeaseDirFor(dataset_dir);
-  std::string done_text;
   ShardDoneRecord done;
-  std::string perr;
-  if (SlurpBounded(DonePath(dir), kMaxDoneBytes, &done_text) &&
-      ParseShardDone(done_text, &done, &perr)) {
-    return ClaimResult::kDone;
-  }
+  if (ReadDone(dir, &done)) return ClaimResult::kDone;
   auto it = leases_.find(dataset_dir);
   if (it == leases_.end()) {
     it = leases_
@@ -383,11 +335,9 @@ bool CollectFleetStatus(const std::string& state_root, FleetStatusView* out,
   if (ec) return fail("cannot scan '" + state_root + "'");
   std::sort(manifest_paths.begin(), manifest_paths.end());
   for (const std::string& path : manifest_paths) {
-    std::string text;
-    if (!SlurpBounded(path, kMaxManifestBytes, &text)) continue;
     FleetManifest m;
     std::string perr;
-    if (!ParseFleetManifest(text, &m, &perr)) continue;
+    if (!LoadFleetManifest(path, &m, &perr)) continue;
     for (const ManifestEntry& e : m.sessions) {
       FleetStatusSession s;
       s.dataset_dir = e.spec.dataset_dir;
@@ -407,14 +357,8 @@ bool CollectFleetStatus(const std::string& state_root, FleetStatusView* out,
   const std::string shard_root = state_root + "/shard";
   if (fs::is_directory(shard_root, ec)) {
     for (const auto& entry : fs::directory_iterator(shard_root, ec)) {
-      std::string text;
-      if (!SlurpBounded(DonePath(entry.path().string()), kMaxDoneBytes,
-                        &text)) {
-        continue;
-      }
       ShardDoneRecord rec;
-      std::string perr;
-      if (!ParseShardDone(text, &rec, &perr)) continue;
+      if (!ReadDone(entry.path().string(), &rec)) continue;
       FleetStatusSession s;
       s.dataset_dir = rec.dataset_dir;
       s.owner = rec.owner;

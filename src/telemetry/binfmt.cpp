@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/diskfault.h"
 #include "common/time.h"
 #include "telemetry/columns.h"
 #include "telemetry/dataset.h"
@@ -325,32 +326,16 @@ bool SaveDatasetBinary(const SessionDataset& ds, const std::string& dir) {
   // Serialize before touching the destination: after ReadDatasetBinary the
   // dataset's columns may zero-copy borrow the mmap of the very file this
   // save replaces (an in-place re-encode), so truncating it first would
-  // SIGBUS mid-write and destroy the original. Staging through a temp file
-  // plus rename also makes the save atomic: a crash never leaves a
-  // half-written telemetry.dtb behind.
+  // SIGBUS mid-write and destroy the original. The staged write plus rename
+  // also makes the save atomic: a crash never leaves a half-written
+  // telemetry.dtb behind.
   const std::string image = SerializeDatasetBinary(ds);
   if (image.empty()) return false;  // Dataset exceeds the wire-format bounds.
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
-  const std::filesystem::path path =
-      std::filesystem::path(dir) / kBinaryDatasetFile;
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-    if (!os) return false;
-    os.write(image.data(), static_cast<std::streamsize>(image.size()));
-    os.flush();
-    if (!os) {
-      std::filesystem::remove(tmp, ec);
-      return false;
-    }
-  }
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  return true;
+  return AtomicWriteFile(
+      (std::filesystem::path(dir) / kBinaryDatasetFile).string(), image,
+      /*fsync_file=*/false, /*fault=*/nullptr, /*error=*/nullptr);
 }
 
 bool ParseDatasetBinary(const std::byte* data, std::size_t size,

@@ -88,6 +88,8 @@ constexpr FixtureCase kFixtures[] = {
     {"dl210_duplicate_chain.domino", "DL210", Severity::kWarning, 3, 7, ""},
     {"dl211_unused_event.domino", "DL211", Severity::kWarning, 2, 7, ""},
     {"dl212_no_intermediates.domino", "DL212", Severity::kWarning, 2, 7, ""},
+    {"dl214_rev_leg_independent.domino", "DL214", Severity::kWarning, 2, 27,
+     "fwd_delay_up"},
     {"dl301_cycle.domino", "DL301", Severity::kError, 3, 7, ""},
     {"dl302_role_conflict.domino", "DL302", Severity::kWarning, 2, 22, ""},
     {"dl303_dead_node.domino", "DL303", Severity::kWarning, 3, 33, ""},

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/sealed_record.h"
 #include "domino/runtime/checkpoint.h"
 #include "domino/runtime/fleet.h"
 #include "domino/runtime/live.h"
@@ -209,7 +210,10 @@ TEST(CheckpointTest, SaveIsAtomicAndMissingFileMeansFreshStart) {
 
   const runtime::LiveCheckpoint cp = SampleCheckpoint();
   ASSERT_TRUE(runtime::SaveCheckpoint(cp, path));
-  EXPECT_FALSE(fs::exists(path + ".tmp"));  // temp renamed away
+  for (const auto& e : fs::directory_iterator(dir)) {  // staging renamed away
+    EXPECT_NE(e.path().filename().string().rfind("live.ckpt.tmp", 0), 0u)
+        << e.path();
+  }
   ASSERT_TRUE(runtime::LoadCheckpoint(path, cp.fingerprint, &out, &error))
       << error;
   EXPECT_EQ(out.windows, cp.windows);
@@ -265,25 +269,6 @@ TEST(LiveRunnerTest, RefusesResumeUnderDifferentConfig) {
   EXPECT_THROW(runner.Run(), std::runtime_error);
 }
 
-// FNV-1a + hex, duplicated from checkpoint.cpp so the corruption matrix
-// can re-seal a tampered body behind a *valid* checksum — reaching the
-// field parser instead of stopping at the checksum gate.
-std::uint64_t TestFnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-std::string Reseal(const std::string& body) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(TestFnv1a(body)));
-  return body + "checksum " + buf + "\n";
-}
-
 TEST(LiveRunnerTest, CorruptCheckpointMatrixStartsFreshNeverCrashes) {
   // Reference run from scratch; its checkpoint is the corruption donor and
   // its chain log the byte-exact expectation for every fresh restart.
@@ -313,7 +298,7 @@ TEST(LiveRunnerTest, CorruptCheckpointMatrixStartsFreshNeverCrashes) {
   const std::size_t cursor_at = body.find("cursor ");
   ASSERT_NE(cursor_at, std::string::npos);
   body.insert(cursor_at + 7, std::string(400, '9'));
-  const std::string oversized_field = Reseal(body);
+  const std::string oversized_field = Seal(body);
 
   const struct {
     const char* name;

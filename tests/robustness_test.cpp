@@ -23,10 +23,12 @@
 #include "common/diskfault.h"
 #include "common/lease.h"
 #include "common/rng.h"
+#include "common/sealed_record.h"
 #include "domino/config_parser.h"
 #include "domino/detector.h"
 #include "domino/expr.h"
 #include "domino/report.h"
+#include "domino/runtime/checkpoint.h"
 #include "domino/runtime/daemon.h"
 #include "domino/runtime/fleet.h"
 #include "domino/runtime/live.h"
@@ -921,24 +923,6 @@ TEST(FleetSupervisorTest, GcRemovesCheckpointsOfCompletedSessionsOnly) {
 
 namespace {
 
-std::uint64_t TestFnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-/// Recomputes the trailing checksum line so structural tampering (as
-/// opposed to torn writes) can be tested separately.
-std::string ResealManifest(const std::string& body) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(TestFnv1a(body)));
-  return body + "checksum " + buf + "\n";
-}
-
 runtime::FleetManifest SampleManifest() {
   runtime::FleetManifest m;
   m.workers = 3;
@@ -1048,16 +1032,16 @@ TEST(DaemonTest, ManifestRejectsTornAndTamperedDocuments) {
       // Valid checksum over version-skewed content: unknown keys must be
       // refused, not skipped — resuming with half the state is worse than
       // not resuming.
-      {"unknown_key", ResealManifest(body + "shard 7\n"), "unknown key"},
+      {"unknown_key", Seal(body + "shard 7\n"), "unknown key"},
       {"bad_header",
-       ResealManifest("domino-fleet-manifest v9\nconfig 1 1 0 0\n"),
+       Seal("domino-fleet-manifest v9\nconfig 1 1 0 0\n"),
        "version"},
-      {"no_config", ResealManifest("domino-fleet-manifest v1\n"), "config"},
+      {"no_config", Seal("domino-fleet-manifest v1\n"), "config"},
       {"negative_workers",
-       ResealManifest("domino-fleet-manifest v1\nconfig -1 1 0 0\n"),
+       Seal("domino-fleet-manifest v1\nconfig -1 1 0 0\n"),
        "config"},
       {"terminal_without_outcome",
-       ResealManifest("domino-fleet-manifest v1\nconfig 1 1 0 0\n"
+       Seal("domino-fleet-manifest v1\nconfig 1 1 0 0\n"
                       "session 1 1\ndataset /d\nstate /s\ntenant \n"),
        "incomplete"},
   };
@@ -1409,6 +1393,173 @@ TEST(DiskFaultTest, RenameAndFsyncFaultsFailAtTheirStage) {
     ASSERT_EQ(left.size(), 1u);
     EXPECT_EQ(FleetSlurp(left[0]), "replacement\n");
   }
+
+  // The checkpoint writer runs the same protocol: each fault stops at the
+  // stage it names, and the previous checkpoint still loads.
+  for (const DiskFaultSpec::Kind kind :
+       {DiskFaultSpec::Kind::kFsync, DiskFaultSpec::Kind::kRename}) {
+    const bool at_rename = kind == DiskFaultSpec::Kind::kRename;
+    SCOPED_TRACE(at_rename ? "checkpoint rename" : "checkpoint fsync");
+    const std::string scratch =
+        FleetTempDir(at_rename ? "ckpt_fault_rename" : "ckpt_fault_fsync");
+    const std::string path = scratch + "/live.ckpt";
+    runtime::LiveCheckpoint prev;
+    prev.fingerprint = "fp";
+    prev.windows = 3;
+    ASSERT_TRUE(runtime::SaveCheckpoint(prev, path));
+    runtime::LiveCheckpoint next = prev;
+    next.windows = 4;
+    DiskFaultInjector inj(DiskFaultSpec{kind, 1});
+    EXPECT_FALSE(runtime::SaveCheckpoint(next, path, &inj));
+    EXPECT_EQ(inj.faults_injected(), 1);
+    runtime::LiveCheckpoint loaded;
+    std::string err;
+    ASSERT_TRUE(runtime::LoadCheckpoint(path, "fp", &loaded, &err)) << err;
+    EXPECT_EQ(loaded.windows, 3);
+#if !defined(_WIN32)
+    const std::vector<std::string> left = staging_files(scratch);
+    if (at_rename) {
+      ASSERT_EQ(left.size(), 1u);
+      EXPECT_EQ(FleetSlurp(left[0]), runtime::FormatCheckpoint(next));
+    } else {
+      EXPECT_TRUE(left.empty());
+    }
+#endif
+  }
+}
+
+// --- Sealed-record codec ------------------------------------------------------
+
+TEST(SealedRecordTest, SealAppendsTheFnv1aChecksumLine) {
+  // The empty digest is the offset basis (see sealed_record.h).
+  EXPECT_EQ(Hex64(Fnv1a64("")), "14650fb0739d0383");
+  EXPECT_EQ(Fnv1a64("a"), (0x14650fb0739d0383ULL ^ 'a') * 1099511628211ULL);
+  const std::string body = "rec v1\nkey a b\n";
+  EXPECT_EQ(Seal(body), body + "checksum " + Hex64(Fnv1a64(body)) + "\n");
+
+  std::string_view fields;
+  std::string err;
+  const std::string sealed = Seal(body);
+  ASSERT_TRUE(Unseal(sealed, "rec v1", &fields, &err)) << err;
+  EXPECT_EQ(fields, "key a b\n");
+  ASSERT_TRUE(Unseal(Seal("rec v1\n"), "rec v1", &fields, &err)) << err;
+  EXPECT_TRUE(fields.empty());
+}
+
+TEST(SealedRecordTest, UnsealChecksChecksumThenLastLineThenHeader) {
+  const std::string good = Seal("rec v1\nkey 1\n");
+  std::string flipped = good;
+  flipped[flipped.find('1')] = '2';
+  const struct {
+    const char* name;
+    std::string text;
+    const char* want;
+  } kCases[] = {
+      {"empty", "", "missing checksum line"},
+      {"torn", good.substr(0, good.size() / 2), "missing checksum line"},
+      {"mid_line_mark", "rec v1\nxchecksum 0\n", "missing checksum line"},
+      {"bit_flipped", flipped, "checksum mismatch"},
+      {"truncated_digest", good.substr(0, good.size() - 2), "mismatch"},
+      {"trailing_bytes", good + "x", "trailing bytes"},
+      {"no_final_newline", good.substr(0, good.size() - 1), "trailing bytes"},
+      // Checksum-valid but for another record type or version: the header
+      // is checked last, and a longer version is not a prefix match.
+      {"other_header", Seal("rec v2\nkey 1\n"), "version header"},
+      {"longer_header", Seal("rec v10\nkey 1\n"), "version header"},
+      {"header_only_no_newline", Seal("rec v1"), "missing checksum line"},
+  };
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(c.name);
+    std::string_view fields;
+    std::string err;
+    EXPECT_FALSE(Unseal(c.text, "rec v1", &fields, &err));
+    EXPECT_NE(err.find(c.want), std::string::npos) << err;
+  }
+}
+
+TEST(SealedRecordTest, RecordLineReadsTypedFieldsAndTheRestOfTheLine) {
+  std::string_view text = "cursor 1 -2  3\nname a b c\n\nlast", line;
+  ASSERT_TRUE(NextLine(&text, &line));
+  RecordLine cursor(line);
+  EXPECT_EQ(cursor.key(), "cursor");
+  EXPECT_EQ(cursor.I(), 1);
+  EXPECT_EQ(cursor.I(), -2);
+  EXPECT_EQ(cursor.U(), 3u);
+  EXPECT_TRUE(cursor.ok());
+  EXPECT_EQ(cursor.I(), 0);  // past the last field
+  EXPECT_FALSE(cursor.ok());
+
+  ASSERT_TRUE(NextLine(&text, &line));
+  RecordLine name(line);
+  EXPECT_EQ(name.key(), "name");
+  EXPECT_EQ(name.rest(), "a b c");
+  ASSERT_TRUE(NextLine(&text, &line));
+  EXPECT_TRUE(line.empty());
+  ASSERT_TRUE(NextLine(&text, &line));
+  EXPECT_EQ(line, "last");
+  EXPECT_FALSE(NextLine(&text, &line));
+
+  RecordLine bad("n -1 x");
+  EXPECT_EQ(bad.U(), 0u);  // unsigned fields take no sign
+  EXPECT_FALSE(bad.ok());
+  RecordLine overflow("n 99999999999999999999");
+  overflow.I();
+  EXPECT_FALSE(overflow.ok());
+  RecordLine bare("fingerprint");
+  EXPECT_EQ(bare.key(), "fingerprint");
+  EXPECT_TRUE(bare.rest().empty());
+}
+
+TEST(SealedRecordTest, ReadFileBoundedRefusesOversizedFiles) {
+  const std::string scratch = FleetTempDir("read_bounded");
+  std::string out = "untouched";
+  EXPECT_EQ(ReadFileBounded(scratch + "/absent", 10, &out),
+            FileRead::kMissing);
+  std::ofstream(scratch + "/f", std::ios::binary) << "0123456789";
+  EXPECT_EQ(ReadFileBounded(scratch + "/f", 9, &out), FileRead::kTooLarge);
+  EXPECT_EQ(out, "untouched");
+  ASSERT_EQ(ReadFileBounded(scratch + "/f", 10, &out), FileRead::kOk);
+  EXPECT_EQ(out, "0123456789");
+}
+
+TEST(SealedRecordTest, EveryStateFileFormatIsByteStable) {
+  // Golden bytes of each format: a changed byte would strand every state
+  // file already on disk.
+  LeaseInfo lease;
+  lease.owner = "box-a";
+  lease.token = 7;
+  lease.seq = 2;
+  lease.renewed_unix_ms = 1'700'000'000'000;
+  EXPECT_EQ(FormatLease(lease),
+            "domino-lease v1\nowner box-a\ntoken 7\nseq 2\n"
+            "renewed_unix_ms 1700000000000\nchecksum 70b78023cc17b3ce\n");
+
+  runtime::ShardDoneRecord done;
+  done.dataset_dir = "/data/cell a";
+  done.owner = "box-a";
+  done.token = 7;
+  done.status = 1;
+  done.attempts = 2;
+  done.windows = 41;
+  done.chains = 9;
+  EXPECT_EQ(runtime::FormatShardDone(done),
+            "domino-shard-done v1\ndataset /data/cell a\nowner box-a\n"
+            "token 7\nstatus 1\nattempts 2\nwindows 41\nchains 9\n"
+            "checksum 19d90dba9e8f5d17\n");
+
+  EXPECT_EQ(Fnv1a64(runtime::FormatFleetManifest(SampleManifest())),
+            0x4da6661e404691b4ULL);
+
+  runtime::LiveCheckpoint cp;
+  cp.fingerprint = "v1 w=5000000 s=500000";
+  cp.next_begin = Time{6'000'000};
+  cp.windows = 11;
+  cp.chainlog_bytes = 1234;
+  cp.cause[3] = {4, 1};
+  cp.chain_tally[2] = {5, 0};
+  cp.shed.push_back({Time{1'000'000}, Time{2'000'000}, 2});
+  cp.tails[2].offset = 40091;
+  EXPECT_EQ(Fnv1a64(runtime::FormatCheckpoint(cp)), 0xbde452826a1595f1ULL);
 }
 
 TEST(LeaseTest, FormatParseRoundtripRejectsTampering) {
@@ -1438,7 +1589,7 @@ TEST(LeaseTest, FormatParseRoundtripRejectsTampering) {
   // Unknown keys are refused even under a recomputed (valid) checksum:
   // version skew must not be silently half-applied.
   const std::string body = text.substr(0, text.rfind("checksum "));
-  EXPECT_FALSE(ParseLease(ResealManifest(body + "color blue\n"), &out, &err));
+  EXPECT_FALSE(ParseLease(Seal(body + "color blue\n"), &out, &err));
 }
 
 TEST(LeaseTest, AcquireHeldStealRenewLifecycle) {
@@ -1551,7 +1702,7 @@ TEST(ShardTest, DoneRecordRoundtripRejectsCorruption) {
   EXPECT_NE(err.find("status"), std::string::npos) << err;
   const std::string body = text.substr(0, text.rfind("checksum "));
   EXPECT_FALSE(
-      runtime::ParseShardDone(ResealManifest(body + "color blue\n"), &out,
+      runtime::ParseShardDone(Seal(body + "color blue\n"), &out,
                               &err));
 }
 

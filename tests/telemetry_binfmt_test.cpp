@@ -218,7 +218,11 @@ TEST(BinFmt, InPlaceReencodeIsSafeAndAtomic) {
   ReadStats stats2;
   ASSERT_TRUE(ReadDatasetBinary(path, reread, stats2));
   ExpectEqualDatasets(ds, reread);
-  EXPECT_FALSE(fs::exists(path + ".tmp"));  // staging file renamed away
+  for (const auto& e : fs::directory_iterator(dir.str())) {
+    // The staging file was renamed away.
+    EXPECT_NE(e.path().filename().string().rfind("telemetry.dtb.tmp", 0), 0u)
+        << e.path();
+  }
 }
 
 TEST(BinFmt, OverBoundsCellNameFailsTheSave) {
